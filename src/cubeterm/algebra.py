@@ -5,15 +5,33 @@ table of arity m is a flat list of n**m values indexed big-endian: the
 value of f(a1, ..., am) sits at position a1*n**(m-1) + a2*n**(m-2) + ... + am.
 Subsets of the universe are passed around as integer bitmasks (bit i set
 means element i is in the set).
+
+Every evaluation of operations over many arguments goes through one kernel:
+`_evaluate` applies a compiled operation to broadcastable argument arrays,
+and `_product` feeds it the cartesian products of argument stores in
+chunks.  `sg`, `is_subuniverse`, the blocker absorption check, the
+compatibility scan and the subpower closure engine all use it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
+
+import numpy as np
 
 from .errors import BudgetExceededError, InputError
+
+#: Largest universe: elements are stored as uint16 above 256 elements.
+MAX_SIZE = 1 << 16
+
+#: Default cells of one kernel chunk.  Small enough for the temporaries to
+#: stay in cache: on a 2-core x86 machine the two-element formulas ran 2-3
+#: times slower on chunks of 2**22 cells than on chunks of 2**16.
+KERNEL_CELLS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +118,11 @@ class FiniteAlgebra:
     def arities(self) -> list[int]:
         return [op.arity for op in self.operations]
 
+    @cached_property
+    def compiled(self) -> "CompiledAlgebra":
+        """The numpy form of the algebra, built on first use and kept."""
+        return _compile(self)
+
     def to_json(self) -> dict:
         obj: dict = {
             "size": self.size,
@@ -160,6 +183,141 @@ class FiniteAlgebra:
 
 
 # ---------------------------------------------------------------------------
+# compiled form and the evaluation kernel
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class _Op:
+    """One basic operation, compiled.
+
+    For two-element universes `terms` lists the argument patterns (bit j
+    of a pattern = argument arity-1-j) of the bitwise formula: the minterms
+    where the table is 1, or, when `complement` is set, the ones where it
+    is 0 and the formula's value is negated.
+    """
+
+    n: int
+    arity: int
+    table: np.ndarray
+    symmetric: bool
+    terms: tuple[int, ...]
+    complement: bool
+
+
+@dataclass(frozen=True, eq=False)
+class CompiledAlgebra:
+    """Numpy tables in the element dtype, projections and duplicates dropped.
+
+    Neither a projection (it returns one of its arguments) nor a second copy
+    of a table can take anything out of a subuniverse or a relation, so
+    every closure and every check runs over `ops` alone.
+    """
+
+    dtype: type
+    ops: tuple[_Op, ...]
+
+
+def _compile(algebra: FiniteAlgebra) -> CompiledAlgebra:
+    n = algebra.size
+    dtype = np.uint8 if n <= 256 else np.uint16
+    ops: list[_Op] = []
+    seen = set()
+    for op in algebra.operations:
+        m = op.arity
+        grid = np.asarray(op.table, dtype=dtype).reshape((n,) * m)
+        key = (m, grid.tobytes())
+        if key in seen or any(
+            (grid == np.arange(n).reshape([n if a == j else 1 for a in range(m)])).all()
+            for j in range(m)
+        ):
+            continue
+        seen.add(key)
+        # two elements: a formula over the fewer of the 1-entries and 0-entries
+        complement = n == 2 and 2 * int(grid.sum()) > grid.size
+        terms = tuple(np.flatnonzero(grid.ravel() != complement).tolist()) if n == 2 else ()
+        ops.append(_Op(n, m, grid.ravel(), m == 2 and bool((grid == grid.T).all()),
+                       terms, complement))
+    return CompiledAlgebra(dtype, tuple(ops))
+
+
+def _radix(digits, n: int, dtype=np.int32) -> np.ndarray:
+    """Big-endian base-n value of a sequence of broadcastable digit arrays.
+
+    With argument arrays as digits this is the flat table index; with the
+    columns of a row array it is each row's tuple code.
+    """
+    out = digits[0].astype(dtype)
+    for d in digits[1:]:
+        out = out * n + d
+    return out
+
+
+def _evaluate(op: _Op, args, mask: Optional[int] = None) -> np.ndarray:
+    """The kernel: op applied to broadcastable argument arrays.
+
+    Without `mask` the arguments hold elements (or rows of elements) and
+    each value is a table lookup.  With `mask` = 2**K - 1 they hold K-bit
+    codes over a two-element universe, and bit i of a value is op applied
+    to bit i of the arguments, computed by the operation's bitwise formula.
+    """
+    if mask is None:
+        return op.table[_radix(args, op.n)]
+    acc = None
+    for v in op.terms:
+        term = None
+        for j, x in enumerate(args):
+            lit = x if v >> (op.arity - 1 - j) & 1 else ~x & mask
+            term = lit if term is None else term & lit
+        acc = term if acc is None else acc | term
+    if acc is None:
+        # constant table: still honour the broadcast shape of the arguments
+        acc = np.zeros(np.broadcast_shapes(*(np.shape(a) for a in args)),
+                       dtype=np.result_type(*args))
+    return ~acc & mask if op.complement else acc
+
+
+def _product(op: _Op, stores, mask: Optional[int] = None,
+             cells: int = KERNEL_CELLS) -> Iterator[np.ndarray]:
+    """Yield op over every combination of one entry from each store.
+
+    stores[j] holds the candidates for argument j along its first axis:
+    elements or codes (1-D) or rows of elements (2-D, one row per entry).
+    The values come in chunks of at most about `cells` cells, flattened to
+    one entry per combination, in lexicographic order of the combination.
+    A chunk takes the innermost arguments whole, the next one in slices
+    and the outer ones an index at a time.
+    """
+    lens = [len(s) for s in stores]
+    if 0 in lens:
+        return
+    m = len(stores)
+    tail = stores[0].shape[1:]
+    inner = math.prod(tail)
+    split = m - 1
+    while split > 0 and inner * lens[split] <= cells:
+        inner *= lens[split]
+        split -= 1
+    step = max(1, cells // max(1, inner))
+    for outer in product(*map(range, lens[:split])):
+        for lo in range(0, lens[split], step):
+            bounds = ([(i, i + 1) for i in outer] + [(lo, lo + step)]
+                      + [(0, k) for k in lens[split + 1:]])
+            args = [s[a:b].reshape((1,) * j + (-1,) + (1,) * (m - 1 - j) + tail)
+                    for j, (s, (a, b)) in enumerate(zip(stores, bounds))]
+            yield _evaluate(op, args, mask).reshape((-1,) + tail)
+
+
+def _frontier(arity: int, old, new, every) -> Iterator[list]:
+    """Argument stores covering each tuple with an entry from `new` once.
+
+    Block j holds the tuples whose first entry from `new` is at position j:
+    entries before it come from `old`, later ones from `every` = old + new.
+    """
+    for j in range(arity):
+        yield [old] * j + [new] + [every] * (arity - 1 - j)
+
+
+# ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
 
@@ -174,6 +332,9 @@ def validate(algebra: FiniteAlgebra) -> list[str]:
     problems = []
     if n < 1:
         problems.append(f"size: must be at least 1, got {n}")
+        return problems
+    if n > MAX_SIZE:
+        problems.append(f"size: at most {MAX_SIZE} elements are supported, got {n}")
         return problems
     for i, op in enumerate(algebra.operations):
         where = f"operations[{i}] '{op.name}'"
@@ -229,42 +390,31 @@ def sg(algebra: FiniteAlgebra, seed) -> int:
     is empty (there are no nullary operations).
     """
     n = algebra.size
-    current = set(mask_elements(_as_mask(seed)))
-    if any(e >= n or e < 0 for e in current):
+    seed_mask = _as_mask(seed)
+    if seed_mask < 0 or seed_mask >> n:
         raise ValueError("seed contains elements outside the universe")
-    prev: set[int] = set()
-    while True:
-        elems = sorted(current)
-        new: set[int] = set()
-        for op in algebra.operations:
-            for args in product(elems, repeat=op.arity):
-                if all(a in prev for a in args):
-                    continue
-                idx = 0
-                for a in args:
-                    idx = idx * n + a
-                v = op.table[idx]
-                if v not in current:
-                    new.add(v)
-        if not new:
-            return mask_of(current)
-        prev = set(current)
-        current |= new
+    old = np.empty(0, dtype=np.intp)
+    new = np.array(mask_elements(seed_mask), dtype=np.intp)
+    while new.size:
+        every = np.concatenate((old, new))
+        hit = np.zeros(n, dtype=bool)
+        for op in algebra.compiled.ops:
+            for stores in _frontier(op.arity, old, new, every):
+                for values in _product(op, stores):
+                    hit[values] = True
+        hit[every] = False
+        old, new = every, np.flatnonzero(hit)
+    return mask_of(old.tolist())
 
 
 def is_subuniverse(algebra: FiniteAlgebra, candidate) -> bool:
     """True iff the set is closed under every basic operation."""
-    n = algebra.size
-    elems = mask_elements(_as_mask(candidate))
-    member = set(elems)
-    for op in algebra.operations:
-        for args in product(elems, repeat=op.arity):
-            idx = 0
-            for a in args:
-                idx = idx * n + a
-            if op.table[idx] not in member:
-                return False
-    return True
+    elems = np.array(mask_elements(_as_mask(candidate)), dtype=np.intp)
+    inside = np.zeros(algebra.size, dtype=bool)
+    inside[elems] = True
+    return all(inside[values].all()
+               for op in algebra.compiled.ops
+               for values in _product(op, [elems] * op.arity))
 
 
 def enumerate_subuniverses(algebra: FiniteAlgebra, max_subsets: int = 1 << 20) -> list[int]:

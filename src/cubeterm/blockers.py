@@ -10,13 +10,15 @@ blocker is a finite certificate that no cube term of any dimension exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional
+
+import numpy as np
 
 from .algebra import (
     FiniteAlgebra,
-    OperationTable,
     _as_mask,
+    _Op,
+    _product,
     enumerate_subuniverses,
     full_mask,
     is_idempotent,
@@ -50,35 +52,20 @@ def _require_idempotent(algebra: FiniteAlgebra) -> None:
         raise ValueError("blocker machinery only applies to idempotent algebras")
 
 
-def _op_absorbing_coordinates(op: OperationTable, n: int,
-                              c_set: set[int], d_elems: list[int]) -> int:
-    """Bitmask of coordinates j with f(D,..,D,C@j,D,..,D) inside C.
-
-    One pass over the D**m part of the table: a tuple with value outside C
-    rules out every coordinate where it holds a C element.
-    """
-    alive = (1 << op.arity) - 1
-    table = op.table
-    for args in product(d_elems, repeat=op.arity):
-        idx = 0
-        hit = 0
-        for j, a in enumerate(args):
-            idx = idx * n + a
-            if a in c_set:
-                hit |= 1 << j
-        if hit & alive and table[idx] not in c_set:
-            alive &= ~hit
-            if not alive:
-                break
-    return alive
+def _absorbs(op: _Op, j: int, in_c: np.ndarray, c_elems: np.ndarray,
+             d_elems: np.ndarray) -> bool:
+    """Does f(D, .., D, C at j, D, .., D) stay inside C?"""
+    stores = [d_elems] * op.arity
+    stores[j] = c_elems
+    return all(in_c[values].all() for values in _product(op, stores))
 
 
 def verify_blocker(algebra: FiniteAlgebra, C, D) -> bool:
     """Is (C, D) a cube term blocker for the (idempotent) algebra?
 
-    Checks {} != C < D, that both are subuniverses, and then the absorbing
-    coordinate condition for every basic operation in a single table pass
-    each.  Invalid pairs yield False; a non-idempotent algebra is an error.
+    Checks {} != C < D, that both are subuniverses, and then that every
+    basic operation has an absorbing coordinate.  Invalid pairs yield
+    False; a non-idempotent algebra is an error.
     """
     _require_idempotent(algebra)
     c_mask, d_mask = _as_mask(C), _as_mask(D)
@@ -87,11 +74,13 @@ def verify_blocker(algebra: FiniteAlgebra, C, D) -> bool:
         return False
     if not is_subuniverse(algebra, c_mask) or not is_subuniverse(algebra, d_mask):
         return False
-    c_set = set(mask_elements(c_mask))
-    d_elems = mask_elements(d_mask)
+    c_elems = np.array(mask_elements(c_mask), dtype=np.intp)
+    d_elems = np.array(mask_elements(d_mask), dtype=np.intp)
+    in_c = np.zeros(algebra.size, dtype=bool)
+    in_c[c_elems] = True
     return all(
-        _op_absorbing_coordinates(op, algebra.size, c_set, d_elems) != 0
-        for op in algebra.operations
+        any(_absorbs(op, j, in_c, c_elems, d_elems) for j in range(op.arity))
+        for op in algebra.compiled.ops
     )
 
 
@@ -106,18 +95,16 @@ def find_blocker(algebra: FiniteAlgebra) -> Optional[Blocker]:
 
     Among incomparable inclusion-minimal choices of Sg(c, d) the smallest d
     wins, making runs reproducible; the for-loop returns the blocker found
-    at the smallest c.
+    at the smallest c.  Each Sg(c, d) is computed once per start element.
     """
     _require_idempotent(algebra)
     n = algebra.size
     universe = full_mask(n)
     for c in range(n):
+        pair_sg = {d: sg(algebra, (1 << c) | (1 << d)) for d in range(n) if d != c}
         s_mask = 1 << c
         while s_mask != universe:
-            candidates = [
-                (d, sg(algebra, (1 << c) | (1 << d)))
-                for d in range(n) if not s_mask >> d & 1
-            ]
+            candidates = [(d, pair_sg[d]) for d in range(n) if not s_mask >> d & 1]
             minimal: Optional[tuple[int, int]] = None
             for d, gen in candidates:
                 if any(g != gen and g & ~gen == 0 for _, g in candidates):

@@ -46,16 +46,20 @@ class _Undecided(Exception):
         self.payload = payload
 
 
-def _load_algebra(path: str) -> tuple[FiniteAlgebra, str]:
+def _read_json(path: str) -> tuple[object, str]:
+    """The parsed JSON of a file and the sha256 of its bytes."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    digest = hashlib.sha256(raw).hexdigest()
     try:
-        obj = json.loads(raw)
+        return json.loads(raw), hashlib.sha256(raw).hexdigest()
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: not valid JSON: {exc}") from exc
+
+
+def _load_algebra(path: str) -> tuple[FiniteAlgebra, str]:
+    obj, digest = _read_json(path)
     return FiniteAlgebra.from_json(obj), digest
 
 
@@ -77,15 +81,7 @@ def _emit(command: str, digest: Optional[str], payload, started: float,
 # ---------------------------------------------------------------------------
 
 def _cmd_validate(alg_path: str, args) -> tuple:
-    try:
-        raw = Path(alg_path).read_bytes()
-    except OSError as exc:
-        raise InputError(f"cannot read {alg_path}: {exc}") from exc
-    digest = hashlib.sha256(raw).hexdigest()
-    try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{alg_path}: not valid JSON: {exc}") from exc
+    obj, digest = _read_json(alg_path)
     try:
         FiniteAlgebra.from_json(obj)
         problems: list[str] = []
@@ -102,7 +98,8 @@ def _decision_payload(dec: decide.CubeDecision):
 
 
 def _cmd_decide_cube(alg: FiniteAlgebra, args):
-    dec = decide.decide_cube(alg, cap=args.cap, force_general=args.force_general)
+    dec = decide.decide_cube(alg, cap=args.cap,
+                             use_idempotent_path=not args.force_general)
     return _decision_payload(dec), f"verdict: {dec.verdict} (bound {dec.dimension_bound})"
 
 

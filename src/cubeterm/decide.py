@@ -349,14 +349,8 @@ def decide_cube_general(algebra: FiniteAlgebra, cap: Optional[int] = None, *,
     )
 
 
-def decide_cube(algebra: FiniteAlgebra, cap: Optional[int] = None, *,
-                budget: Optional[Budget] = None,
-                force_general: bool = False) -> CubeDecision:
-    """Route to the polynomial idempotent path or the general decision."""
-    if force_general:
-        return decide_cube_general(algebra, cap, budget=budget,
-                                   use_idempotent_path=False)
-    return decide_cube_general(algebra, cap, budget=budget)
+#: The front door: routes idempotent input to the polynomial path.
+decide_cube = decide_cube_general
 
 
 def minimal_cube_dimension(algebra: FiniteAlgebra, cap: int, *,

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, mask_elements, mask_of
+from .algebra import FiniteAlgebra, _product, _radix, mask_elements, mask_of
 from .errors import BudgetExceededError, InputError
 
 #: Largest code space held as a dense bitset (2**26 bits = 8 MiB).
@@ -197,33 +197,43 @@ def mix_family_size(a: Sequence[int], b: Sequence[int]) -> int:
 # compatibility and elusiveness
 # ---------------------------------------------------------------------------
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One comparable bytes key per row of a digit array."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+
+
 def is_compatible(algebra: FiniteAlgebra, relation: Relation,
                   max_checks: int = 10 ** 7) -> bool:
     """True iff every basic operation maps the relation into itself.
 
     Scans all |R|**m argument tuples per operation of arity m, stopping at
-    the first violation; refuses when the scan would exceed the budget.
+    the first chunk with a violation; refuses when the scan would exceed
+    the budget.
     """
     if algebra.size != relation.n:
         raise ValueError("relation and algebra live on different universes")
     n = algebra.size
-    members = list(relation)
-    for op in algebra.operations:
-        if len(members) ** op.arity > max_checks:
+    rows = np.array(list(relation), dtype=algebra.compiled.dtype)
+    rows = rows.reshape(len(relation), relation.arity)
+    if relation._dense is not None:
+        def inside(values: np.ndarray) -> bool:
+            return relation._dense[_radix(values.T, n, np.int64)].all()
+    else:
+        keys = np.sort(_row_keys(rows))
+
+        def inside(values: np.ndarray) -> bool:
+            probe = _row_keys(values)
+            at = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
+            return (keys[at] == probe).all()
+    for op in algebra.compiled.ops:
+        if len(rows) ** op.arity > max_checks:
             raise BudgetExceededError(
-                f"compatibility scan |R|^{op.arity} = {len(members) ** op.arity} "
+                f"compatibility scan |R|^{op.arity} = {len(rows) ** op.arity} "
                 f"exceeds budget {max_checks}"
             )
-        table = op.table
-        for rows in product(members, repeat=op.arity):
-            code = 0
-            for c in range(relation.arity):
-                idx = 0
-                for r in rows:
-                    idx = idx * n + r[c]
-                code = code * n + table[idx]
-            if not relation.has_code(code):
-                return False
+        if not all(inside(values) for values in _product(op, [rows] * op.arity)):
+            return False
     return True
 
 

@@ -12,29 +12,42 @@ Generators are folded in chunk by chunk between rounds, which lets a
 membership query succeed long before a large generator family (2**d - 1
 tuples for the cube checks) has even been enumerated.
 
-Three dedup backends, picked from the code-space size n**K:
+Operations come from the algebra's compiled form (`FiniteAlgebra.compiled`,
+built once per algebra and shared by every query): numpy tables in the
+element dtype, projections and duplicate operations dropped, a flag for
+symmetric binary operations and, on two-element universes, each
+operation's bitwise formula.  Every candidate member is produced by the
+evaluation kernel of `algebra` (`_product` over `_evaluate`), one chunk of
+argument combinations at a time.  A symmetric binary operation is applied
+to unordered pairs only, which halves the work of the saturating
+two-element closures.
 
-* dense bitset over all codes (n**K small),
-* hash set of int64 codes,
-* hash set of raw digit-row bytes (code space past 2**62).
+One format decision, made from the code space n**K when a query starts,
+fixes how members are held and deduplicated:
 
-For two-element universes the operations additionally compile to bitwise
-formulas on the integer codes, which avoids materializing digit matrices
-entirely.
+* ``dense``: n**K up to ``Budget.dense_limit``; a bitset over all codes,
+* ``int``: n**K up to 2**62; a hash set of int64 codes,
+* ``bytes``: beyond that; a hash set of raw digit rows.
+
+With dense or int keys a two-element universe keeps its members as K-bit
+codes and evaluates the bitwise formulas on them, so no digit matrix is
+ever built; every other case keeps digit rows and looks values up in the
+tables.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass
-from itertools import islice, product
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from itertools import chain, islice
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .algebra import FiniteAlgebra
-from .relations import DENSE_CODE_LIMIT, Relation, tuple_code
+from .algebra import KERNEL_CELLS, FiniteAlgebra, _evaluate, _frontier, _Op, _product, _radix
+from .relations import DENSE_CODE_LIMIT, Relation, _row_keys, tuple_code
 
 _INT64_CODE_LIMIT = 1 << 62
 
@@ -46,13 +59,14 @@ class Budget:
     max_members caps how many tuples the closure may hold; max_seconds is
     wall-clock.  Hitting either stops the run with truncated=True rather
     than returning a wrong answer.  dense_limit is the largest code space
-    kept as a dense bitset; cell_budget sizes the numpy work chunks.
+    kept as a dense bitset; cell_budget caps the cells of one kernel chunk,
+    the unit in which candidates are evaluated and absorbed.
     """
 
     max_members: int = 10 ** 8
     max_seconds: Optional[float] = None
     dense_limit: int = DENSE_CODE_LIMIT
-    cell_budget: int = 1 << 22
+    cell_budget: int = KERNEL_CELLS
     generator_chunk: int = 4096
 
 
@@ -84,140 +98,61 @@ class MembershipAnswer:
 
 
 # ---------------------------------------------------------------------------
-# operation compilation
-# ---------------------------------------------------------------------------
-
-def _compile_bitwise(table: Sequence[int], arity: int, mask: int) -> Callable:
-    """Turn a {0,1}-operation table into a bitwise formula on K-bit codes."""
-    ones = [v for v in range(1 << arity) if table[v] == 1]
-    complement = len(ones) > (1 << arity) // 2
-    terms = [v for v in range(1 << arity) if table[v] == 0] if complement else ones
-
-    def apply(args: list[np.ndarray]) -> np.ndarray:
-        acc = None
-        for v in terms:
-            term = None
-            for j in range(arity):
-                x = args[j]
-                lit = x if (v >> (arity - 1 - j)) & 1 else ~x & mask
-                term = lit if term is None else term & lit
-            acc = term if acc is None else acc | term
-        if acc is None:
-            # constant table: still honor the broadcast shape of the args
-            acc = np.zeros(np.broadcast_shapes(*(np.shape(a) for a in args)),
-                           dtype=np.result_type(*args))
-        if complement:
-            acc = ~acc & mask
-        return acc
-
-    return apply
-
-
-def _is_projection(table: Sequence[int], arity: int, n: int) -> bool:
-    for j in range(arity):
-        stride = n ** (arity - 1 - j)
-        if all(table[idx] == (idx // stride) % n for idx in range(len(table))):
-            return True
-    return False
-
-
-class _Op:
-    def __init__(self, table: Sequence[int], arity: int, n: int, bit_mask: Optional[int]):
-        self.arity = arity
-        self.table = np.asarray(table, dtype=np.uint8)
-        self.bitwise = _compile_bitwise(table, arity, bit_mask) if bit_mask is not None else None
-        self.n = n
-        # fully symmetric binary tables admit an unordered-pair sweep
-        self.symmetric = arity == 2 and all(
-            table[x * n + y] == table[y * n + x] for x in range(n) for y in range(x)
-        )
-
-
-# ---------------------------------------------------------------------------
 # the engine
 # ---------------------------------------------------------------------------
 
 class _Engine:
     def __init__(self, algebra: FiniteAlgebra, arity: int, target, budget: Budget):
         n = algebra.size
+        compiled = algebra.compiled
         self.n = n
         self.K = arity
         self.budget = budget
-        self.space = n ** arity
-        self.use_bits = n == 2 and arity <= 62
-        self.use_dense = self.space <= budget.dense_limit
-        self.use_int64 = self.space < _INT64_CODE_LIMIT
-        self.code_dtype = np.int32 if self.space < (1 << 31) else np.int64
-
-        # projections return one of their argument rows and duplicate tables
-        # repeat work, so neither can enlarge a closure; drop both
-        self.ops = []
-        seen_tables = set()
-        for op in algebra.operations:
-            key = (op.arity, tuple(op.table))
-            if key in seen_tables or _is_projection(op.table, op.arity, n):
-                continue
-            seen_tables.add(key)
-            self.ops.append(
-                _Op(op.table, op.arity, n, (1 << arity) - 1 if self.use_bits else None)
-            )
+        self.ops = compiled.ops
+        self.dtype = compiled.dtype
+        space = n ** arity
+        # the one format decision: how members are keyed for dedup, and
+        # whether they are held as two-element bit codes or as digit rows
+        self.key = ("dense" if space <= budget.dense_limit
+                    else "int" if space <= _INT64_CODE_LIMIT else "bytes")
+        self.mask = (1 << arity) - 1 if n == 2 and self.key != "bytes" else None
+        self.code_dtype = np.int32 if space < (1 << 31) else np.int64
 
         cap = 1024
         self.count = 0
-        if self.use_bits:
-            self.codes = np.empty(cap, dtype=self.code_dtype)
-            self.rows = None
+        if self.mask is not None:
+            self.store = np.empty(cap, dtype=self.code_dtype)
         else:
-            self.rows = np.empty((cap, arity), dtype=np.uint8)
-            self.codes = np.empty(cap, dtype=self.code_dtype) if self.use_int64 else None
-
-        if self.use_dense:
-            self.known_bits: Optional[np.ndarray] = np.zeros(self.space, dtype=bool)
-            self.known_set: Optional[set] = None
+            self.store = np.empty((cap, arity), dtype=self.dtype)
+        if self.key == "dense":
+            self.known_bits: Optional[np.ndarray] = np.zeros(space, dtype=bool)
         else:
-            self.known_bits = None
-            self.known_set = set()
+            self.known_set: set = set()
 
-        self.target_code: Optional[int] = None
-        self.target_row: Optional[np.ndarray] = None
-        self.target_bytes: Optional[bytes] = None
+        self.target_key = None
         if target is not None:
             if len(target) != arity:
                 raise ValueError("target arity does not match the generators")
             if any(not 0 <= v < n for v in target):
                 raise ValueError("target entry outside the universe")
-            if self.use_int64:
-                self.target_code = tuple_code(target, n)
-            row = np.asarray(target, dtype=np.uint8)
-            self.target_row = row
-            self.target_bytes = row.tobytes()
+            self.target_key = (_row_keys(np.asarray([target], dtype=self.dtype))[0]
+                               if self.key == "bytes" else tuple_code(target, n))
 
         self.found = False
         self.found_depth: Optional[int] = None
         self.truncated = False
         self.t0 = time.monotonic()
-        # flush the candidate buffer once it holds about cell_budget cells
-        per_row = 1 if self.use_bits else max(1, arity)
-        self.flush_at = max(4096, budget.cell_budget // per_row)
-        self._buf: list[np.ndarray] = []
-        self._buf_len = 0
 
     # -- capacity ----------------------------------------------------------
 
     def _reserve(self, extra: int) -> None:
         need = self.count + extra
-        if self.use_bits:
-            if need > self.codes.shape[0]:
-                cap = max(need, 2 * self.codes.shape[0])
-                self.codes = np.resize(self.codes, cap)
+        if need <= self.store.shape[0]:
             return
-        if need > self.rows.shape[0]:
-            cap = max(need, 2 * self.rows.shape[0])
-            grown = np.empty((cap, self.K), dtype=np.uint8)
-            grown[: self.count] = self.rows[: self.count]
-            self.rows = grown
-            if self.codes is not None:
-                self.codes = np.resize(self.codes, cap)
+        cap = max(need, 2 * self.store.shape[0])
+        grown = np.empty((cap,) + self.store.shape[1:], dtype=self.store.dtype)
+        grown[: self.count] = self.store[: self.count]
+        self.store = grown
 
     # -- budget ------------------------------------------------------------
 
@@ -233,187 +168,94 @@ class _Engine:
 
     # -- dedup + append ----------------------------------------------------
 
-    def _encode_rows(self, rows: np.ndarray) -> np.ndarray:
-        code = rows[:, 0].astype(self.code_dtype)
-        for c in range(1, self.K):
-            code = code * self.n + rows[:, c]
-        return code
+    def _absorb_keys(self, keys: np.ndarray, rows: Optional[np.ndarray], depth: int) -> None:
+        """Add the candidates whose keys are new to the closure.
 
-    def _absorb_codes(self, codes: np.ndarray, rows: Optional[np.ndarray], depth: int) -> None:
-        """Add the new codes among `codes` to the closure (bits/dense/int64 paths)."""
-        if self.use_dense:
-            seen = self.known_bits[codes]
+        Keys are codes, or bytes keys of rows when key == "bytes"; fresh
+        members are appended in the order of their first occurrence.
+        """
+        if self.key == "dense":
+            seen = self.known_bits[keys]
             if seen.all():
                 return
             fresh = ~seen
-            codes = codes[fresh]
+            keys = keys[fresh]
             if rows is not None:
                 rows = rows[fresh]
-            uniq, first = np.unique(codes, return_index=True)
+            uniq, first = np.unique(keys, return_index=True)
             order = np.argsort(first, kind="stable")
             uniq = uniq[order]
             self.known_bits[uniq] = True
             picked = first[order]
         else:
-            uniq_all, first_all = np.unique(codes, return_index=True)
+            uniq_all, first_all = np.unique(keys, return_index=True)
             order = np.argsort(first_all, kind="stable")
-            keep = [
-                i for i in order.tolist()
-                if int(uniq_all[i]) not in self.known_set
-            ]
+            listed = uniq_all.tolist()
+            keep = [i for i in order.tolist() if listed[i] not in self.known_set]
             if not keep:
                 return
             uniq = uniq_all[keep]
-            self.known_set.update(int(c) for c in uniq)
+            self.known_set.update(listed[i] for i in keep)
             picked = first_all[keep]
         k = uniq.shape[0]
         self._reserve(k)
-        if self.use_bits:
-            self.codes[self.count: self.count + k] = uniq
-        else:
-            self.rows[self.count: self.count + k] = rows[picked]
-            if self.codes is not None:
-                self.codes[self.count: self.count + k] = uniq
+        self.store[self.count: self.count + k] = uniq if rows is None else rows[picked]
         self.count += k
-        if self.target_code is not None and not self.found:
-            if self.use_dense:
-                if self.known_bits[self.target_code]:
-                    self.found = True
-                    self.found_depth = depth
-            elif self.target_code in self.known_set:
-                self.found = True
-                self.found_depth = depth
+        if self.target_key is not None and not self.found and (uniq == self.target_key).any():
+            self.found, self.found_depth = True, depth
 
-    def _absorb_rows_bytes(self, rows: np.ndarray, depth: int) -> None:
-        """Dedup by raw row bytes (code space too large for int64)."""
-        uniq, first = np.unique(rows, axis=0, return_index=True)
-        order = np.argsort(first, kind="stable")
-        fresh_rows = []
-        for i in order.tolist():
-            key = uniq[i].tobytes()
-            if key not in self.known_set:
-                self.known_set.add(key)
-                fresh_rows.append(uniq[i])
-                if key == self.target_bytes and not self.found:
-                    self.found = True
-                    self.found_depth = depth
-        if not fresh_rows:
-            return
-        k = len(fresh_rows)
-        self._reserve(k)
-        self.rows[self.count: self.count + k] = np.stack(fresh_rows)
-        self.count += k
-
-    def absorb(self, rows: Optional[np.ndarray], codes: Optional[np.ndarray], depth: int) -> None:
-        if self.use_bits or self.use_int64:
-            if codes is None:
-                codes = self._encode_rows(rows)
-            self._absorb_codes(codes, rows, depth)
+    def absorb(self, cands: np.ndarray, depth: int) -> None:
+        """Add the new ones among candidate codes (bit mode) or rows."""
+        if self.mask is not None:
+            self._absorb_keys(cands, None, depth)
+        elif self.key == "bytes":
+            self._absorb_keys(_row_keys(cands), cands, depth)
         else:
-            self._absorb_rows_bytes(rows, depth)
+            self._absorb_keys(_radix(cands.T, self.n, self.code_dtype), cands, depth)
 
     def insert_tuples(self, tuples: list, depth: int = 0) -> None:
         if not tuples:
             return
-        arr = np.asarray(tuples, dtype=np.uint8)
+        arr = np.asarray(tuples)
         if arr.ndim != 2 or arr.shape[1] != self.K:
             raise ValueError("generator arity does not match")
-        if arr.size and int(arr.max()) >= self.n:
+        if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= self.n):
             raise ValueError("generator entry outside the universe")
-        if self.use_bits:
-            codes = self._encode_rows(arr)
-            self._absorb_codes(codes, None, depth)
-        else:
-            self.absorb(arr, None, depth)
-
-    # -- candidate buffering -------------------------------------------------
-
-    def _push(self, out: np.ndarray, depth: int) -> None:
-        self._buf.append(out)
-        self._buf_len += out.shape[0]
-        if self._buf_len >= self.flush_at:
-            self._flush(depth)
-
-    def _flush(self, depth: int) -> None:
-        if not self._buf:
-            return
-        batch = self._buf[0] if len(self._buf) == 1 else np.concatenate(self._buf)
-        self._buf = []
-        self._buf_len = 0
-        if self.use_bits:
-            self._absorb_codes(batch, None, depth)
-        else:
-            self.absorb(batch, None, depth)
+        arr = arr.astype(self.dtype)
+        self.absorb(arr if self.mask is None else _radix(arr.T, 2, self.code_dtype), depth)
 
     # -- one frontier round --------------------------------------------------
 
+    def _chunks(self, op: _Op, f_lo: int, f_hi: int) -> Iterator[np.ndarray]:
+        """Candidates from op in this round, one kernel chunk at a time."""
+        if op.symmetric:
+            return self._pairs(op, f_lo, f_hi)
+        store = self.store
+        return chain.from_iterable(
+            _product(op, stores, self.mask, self.budget.cell_budget)
+            for stores in _frontier(op.arity, store[:f_lo], store[f_lo:f_hi], store[:f_hi]))
+
+    def _pairs(self, op: _Op, f_lo: int, f_hi: int) -> Iterator[np.ndarray]:
+        """Symmetric binary op on each unordered pair {i, j} with i in the
+        frontier and j <= i, once.
+
+        The frontier goes in row blocks [a, b): a rectangle against all
+        members before a, then the triangle j <= i inside the block.
+        """
+        store, cells = self.store, self.budget.cell_budget
+        side = max(1, math.isqrt(cells // (1 if self.mask is not None else self.K)))
+        for a in range(f_lo, f_hi, side):
+            b = min(f_hi, a + side)
+            yield from _product(op, [store[a:b], store[:a]], self.mask, cells)
+            square = _evaluate(op, [store[a:b, None], store[None, a:b]], self.mask)
+            yield square[np.tri(b - a, dtype=bool)]
+
     def close_round(self, f_lo: int, f_hi: int, depth: int) -> None:
         for op in self.ops:
-            if op.symmetric:
-                self._eval_sym2(op, f_lo, f_hi, depth)
-                if self.found or self.truncated:
+            for chunk in self._chunks(op, f_lo, f_hi):
+                self.absorb(chunk, depth)
+                if self.found or self._over_budget():
                     return
-                continue
-            m = op.arity
-            for j in range(m):
-                # first frontier position at j: earlier args old, later args any
-                ranges = [(0, f_lo)] * j + [(f_lo, f_hi)] + [(0, f_hi)] * (m - 1 - j)
-                if any(hi <= lo for lo, hi in ranges):
-                    continue
-                self._eval_block(op, ranges, depth)
-                if self.found or self.truncated:
-                    return
-        self._flush(depth)
-
-    def _eval_sym2(self, op: _Op, f_lo: int, f_hi: int, depth: int) -> None:
-        # symmetric binary op: unordered pairs {i, j} with max(i, j) in the
-        # frontier cover everything once
-        store = self.codes if self.use_bits else self.rows
-        for i in range(f_lo, f_hi):
-            args = [store[i], store[: i + 1]]
-            if self.use_bits:
-                self._push(op.bitwise(args), depth)
-            else:
-                lin = np.asarray(args[0], dtype=np.int32) * self.n + args[1]
-                self._push(op.table[lin], depth)
-            if self.found or self.truncated:
-                return
-            if (i - f_lo) % 1024 == 1023 and self._over_budget():
-                return
-        self._flush(depth)
-
-    def _eval_block(self, op: _Op, ranges: list[tuple[int, int]], depth: int) -> None:
-        """Apply op to every argument combination drawn from the index ranges.
-
-        The widest range becomes the vectorized axis (a contiguous member
-        slice); the remaining positions are walked in a plain loop.  Member
-        storage may be reallocated while absorbing, so slices are captured
-        up front; indices here never reach the appended part.
-        """
-        m = op.arity
-        store = self.codes if self.use_bits else self.rows
-        vec = max(range(m), key=lambda p: ranges[p][1] - ranges[p][0])
-        vec_slice = store[ranges[vec][0]: ranges[vec][1]]
-        lead = [p for p in range(m) if p != vec]
-        args: list = [None] * m
-        args[vec] = vec_slice
-        ticks = 0
-        for combo in product(*(range(*ranges[p]) for p in lead)):
-            for p, i in zip(lead, combo):
-                args[p] = store[i]
-            if self.use_bits:
-                self._push(op.bitwise(args), depth)
-            else:
-                lin = np.asarray(args[0], dtype=np.int32)
-                for t in range(1, m):
-                    lin = lin * self.n + args[t]
-                self._push(op.table[lin], depth)
-            if self.found or self.truncated:
-                return
-            ticks += 1
-            if ticks % 1024 == 0 and self._over_budget():
-                return
-        self._flush(depth)
 
     # -- main loop -----------------------------------------------------------
 
@@ -444,18 +286,12 @@ class _Engine:
     # -- output ----------------------------------------------------------------
 
     def member_codes(self) -> Iterator[int]:
-        if self.use_bits or self.use_int64:
-            return (int(c) for c in self.codes[: self.count])
-        n = self.n
-
-        def gen():
-            for i in range(self.count):
-                c = 0
-                for v in self.rows[i]:
-                    c = c * n + int(v)
-                yield c
-
-        return gen()
+        members = self.store[: self.count]
+        if self.mask is None:
+            if self.key == "bytes":
+                return (tuple_code(row.tolist(), self.n) for row in members)
+            members = _radix(members.T, self.n, self.code_dtype)
+        return (int(c) for c in members)
 
     def answer(self) -> MembershipAnswer:
         return MembershipAnswer(

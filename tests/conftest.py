@@ -53,3 +53,32 @@ def brute_force_subpower(algebra: FiniteAlgebra, gens: list[tuple]) -> set[tuple
         if new <= current:
             return current
         current |= new
+
+
+def brute_force_is_blocker(algebra: FiniteAlgebra, c: set[int], d: set[int]) -> bool:
+    """Reference blocker test read off the operation tables alone.
+
+    {} != C < D, both closed under every operation, and every operation
+    has a coordinate j with f(D, .., C at j, .., D) inside C.
+    """
+    if not c or not c < d:
+        return False
+    if brute_force_closure(algebra, c) != c or brute_force_closure(algebra, d) != d:
+        return False
+    n = algebra.size
+    for op in algebra.operations:
+        absorbing = False
+        for j in range(op.arity):
+            domains = [sorted(c) if i == j else sorted(d) for i in range(op.arity)]
+            values = set()
+            for args in product(*domains):
+                idx = 0
+                for a in args:
+                    idx = idx * n + a
+                values.add(op.table[idx])
+            if values <= c:
+                absorbing = True
+                break
+        if not absorbing:
+            return False
+    return True

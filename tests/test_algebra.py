@@ -42,6 +42,9 @@ def test_validate_entry_out_of_range():
 def test_validate_bad_arity_and_size():
     assert validate(FiniteAlgebra(0, ()))
     assert validate(FiniteAlgebra(2, (OperationTable("f", 0, ()),)))
+    # elements are stored as uint16 at most
+    assert not validate(FiniteAlgebra(1 << 16, ()))
+    assert validate(FiniteAlgebra((1 << 16) + 1, ()))
 
 
 def test_apply_meet():

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from conftest import random_idempotent_algebra
+from conftest import brute_force_closure, brute_force_is_blocker, random_idempotent_algebra
 from cubeterm import (
     Blocker,
     ChippedCubeSpec,
@@ -16,6 +16,7 @@ from cubeterm import (
     fixture,
     idempotent_quasigroup,
     is_compatible,
+    mask_elements,
     mask_of,
     verify_blocker,
 )
@@ -82,6 +83,23 @@ def test_found_blockers_verify():
         b = find_blocker(alg)
         if b is not None:
             assert verify_blocker(alg, b.C, b.D)
+
+
+def test_verify_blocker_matches_table_oracle():
+    # every pair C < D of subsets, subuniverses or not, on seeded random
+    # idempotent algebras with operations of arity 1 to 3
+    rng = random.Random(41)
+    for n in range(2, 7):
+        for _ in range(3):
+            alg = random_idempotent_algebra(
+                rng, n, [rng.randint(1, 3) for _ in range(rng.randint(1, 2))])
+            subs = [m for m in range(1, 1 << n)
+                    if brute_force_closure(alg, set(mask_elements(m))) == set(mask_elements(m))]
+            pairs = [(c, d) for d in subs for c in subs if c != d and c & ~d == 0]
+            pairs += [(rng.randrange(1, 1 << n), rng.randrange(1, 1 << n)) for _ in range(20)]
+            for c, d in pairs:
+                want = brute_force_is_blocker(alg, set(mask_elements(c)), set(mask_elements(d)))
+                assert verify_blocker(alg, c, d) == want, (alg, c, d)
 
 
 def test_search_and_algorithm_agree_on_random_sample():

@@ -75,6 +75,17 @@ def test_undecided_exit_code(capsys, algebra_file):
     assert result["payload"]["verdict"] == "undecided"
 
 
+def test_universe_above_256_elements(capsys, tmp_path):
+    # elements no longer fit a byte: the run must still end in an envelope
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"size": 300, "operations": [
+        {"name": "c", "arity": 1, "table": [0] * 300}]}))
+    rc, result, err = invoke(capsys, "decide-cube", str(big), "--cap", "1")
+    assert rc == 1
+    assert result["payload"]["verdict"] == "undecided"
+    assert "Traceback" not in err
+
+
 def test_malformed_input_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"size": 2, "operations": [{"name": "f", "arity": 2, '

@@ -8,6 +8,7 @@ from cubeterm import (
     NO_CUBE,
     UNDECIDED,
     Blocker,
+    Budget,
     FiniteAlgebra,
     OperationTable,
     bound_general,
@@ -122,6 +123,11 @@ def test_check_nu():
     assert not check_nu(fixture("semilattice2"), 3)
     with pytest.raises(ValueError):
         check_nu(fixture("lattice2"), 2)
+
+
+def test_check_nu_at_row_width_62():
+    # the stacked NU query for arity 30 over two elements has row width 62
+    assert check_nu(fixture("lattice2"), 30, budget=Budget(max_seconds=10)) is True
 
 
 def test_nu_implies_cube_dimension():

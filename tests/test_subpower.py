@@ -77,8 +77,11 @@ def test_matches_brute_force_closure():
         k = rng.randint(1, 3)
         gens = [tuple(rng.randrange(n) for _ in range(k))
                 for _ in range(rng.randint(1, 4))]
-        closure, _ = generate(alg, gens)
-        assert set(closure) == brute_force_subpower(alg, gens)
+        expected = brute_force_subpower(alg, gens)
+        # tiny cell budgets split every kernel block into many chunks
+        for budget in (None, Budget(cell_budget=1), Budget(cell_budget=5)):
+            closure, _ = generate(alg, gens, budget=budget)
+            assert set(closure) == expected
 
 
 def test_deterministic_output():
@@ -174,3 +177,12 @@ def test_nonidempotent_closure_with_prefix():
     assert not ans.found
     closure, _ = generate(c0, mix_family((1,) * 4, (0,) * 4, prefix=prefix))
     assert (0,) * 6 in closure  # the constant image
+
+
+def test_code_space_of_exactly_2_to_the_62():
+    # two elements, row width 62: the codes still fit int64, so the target
+    # must be tracked by its code like any other
+    neg2 = FiniteAlgebra(2, (OperationTable("neg", 1, (1, 0)),))
+    t = tuple(i % 2 for i in range(62))
+    ans = membership(neg2, [t], t)
+    assert ans.found and ans.witness_depth == 0
