@@ -48,6 +48,8 @@ def mask_of(elements: Iterable[int]) -> int:
 
 def mask_elements(mask: int) -> list[int]:
     """Sorted list of elements in a bitmask."""
+    if mask < 0:
+        raise ValueError(f"negative element mask {mask}")
     out = []
     i = 0
     while mask:

@@ -9,7 +9,9 @@ small enough) or in a hash set.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -79,6 +81,13 @@ class Relation:
             return bool(self._dense[code])
         return code in self._set
 
+    def has_rows(self, rows: np.ndarray) -> bool:
+        """True iff every row of a 2-D array over {0..n-1} is a member."""
+        if self._dense is not None:
+            return bool(self._dense[_radix(rows.T, self.n, np.int64)].all())
+        codes = _radix(rows.T, self.n, np.int64 if self._space <= 1 << 62 else object)
+        return self._set.issuperset(codes.tolist())
+
     def __contains__(self, entries: Sequence[int]) -> bool:
         if len(entries) != self.arity:
             return False
@@ -147,43 +156,66 @@ def mix(a: Sequence[int], b: Sequence[int], coords: Iterable[int]) -> tuple[int,
     return tuple(out)
 
 
-def _spread_submasks(width_bits: list[int]) -> Iterator[int]:
-    # all nonzero masks supported on the given bit positions, increasing
-    for j in range(1, 1 << len(width_bits)):
-        m = 0
-        for t, pos in enumerate(width_bits):
-            if j >> t & 1:
-                m |= 1 << pos
-        yield m
+#: Masks run through in blocks of 2**_LOW_BITS: the low bits of the mask
+#: come from one cached bit table, the high bits are constant in a block.
+_LOW_BITS = 12
+
+
+@lru_cache(maxsize=64)
+def _block_bits(width: int, low: tuple, first: bool, a_at: Optional[int]) -> np.ndarray:
+    """Read-only 0/1 overwrite bits of one block of masks, one row per mask:
+    bit t of the mask's low part in column low[t].  The first block skips
+    mask 0; a_at, when given, is the row where a itself (no bits) goes."""
+    bits = np.zeros((1 << len(low), width), dtype=np.uint8)
+    bits[:, list(low)] = np.arange(len(bits))[:, None] >> np.arange(len(low)) & 1
+    bits = bits[first:]
+    if a_at is not None:
+        bits = np.insert(bits, a_at, 0, axis=0)
+    bits.flags.writeable = False
+    return bits
 
 
 def mix_family(a: Sequence[int], b: Sequence[int],
-               prefix: Sequence[int] = ()) -> Iterator[tuple[int, ...]]:
+               prefix: Sequence[int] = ()) -> Iterator[np.ndarray]:
     """Deduplicated stream of prefix + mix(a, b, I) over all nonempty I.
 
     There are 2**k - 1 subsets, so the family is streamed rather than
-    materialized.  Duplicates arise exactly from coordinates where a and b
-    agree; the stream enumerates only the distinct results, in the order
-    of their first appearance when I runs through the nonzero bitmasks in
+    materialized, as 2-D arrays of at most 4096 rows each in the smallest
+    unsigned dtype that holds every entry (uint8 below 256; int64 when an
+    entry is negative).
+    Duplicates arise exactly from coordinates where a and b agree; the
+    stream enumerates only the distinct results, in the order of their
+    first appearance when I runs through the nonzero bitmasks in
     increasing order (bit i = coordinate i).
     """
     if len(a) != len(b):
         raise ValueError("tuples must have the same arity")
-    k = len(a)
-    prefix = tuple(prefix)
-    a = tuple(a)
-    diff = [i for i in range(k) if a[i] != b[i]]
-    # first mask whose mix equals a itself: lowest coordinate where a == b
-    same_first = next((i for i in range(k) if a[i] == b[i]), None)
-    a_mask = None if same_first is None else 1 << same_first
-    a_done = a_mask is None
-    for m in _spread_submasks(diff):
-        if not a_done and a_mask < m:
-            yield prefix + a
-            a_done = True
-        yield prefix + mix(a, b, (i for i in range(k) if m >> i & 1))
-    if not a_done:
-        yield prefix + a
+    if not len(a):
+        return
+    p = len(prefix)
+    rows = (tuple(prefix) + tuple(a), tuple(prefix) + tuple(b))
+    lo, hi = min(map(min, rows)), max(map(max, rows))
+    dtype = np.min_scalar_type(hi) if lo >= 0 else np.int64
+    base, other = np.array(rows, dtype=dtype)
+    diff = [i for i in range(p, len(base)) if rows[0][i] != rows[1][i]]
+    same = next((i for i in range(p, len(base)) if rows[0][i] == rows[1][i]), None)
+    # a itself first appears at the mask of the lowest coordinate where
+    # a == b, right before the mask 2**t (t = differing coordinates below)
+    a_pos = None if same is None else 1 << bisect_left(diff, same)
+    a_at = a_pos - 1 if a_pos is not None and a_pos <= 1 << _LOW_BITS else None
+    low, high = tuple(diff[:_LOW_BITS]), diff[_LOW_BITS:]
+    # where(bit, b, a) as a + bit * (b - a), exact in wrapping integers
+    delta = other - base
+    for h in range(1 << len(high)):
+        row = base
+        if h:  # mask h << 12 also overwrites some high coordinates
+            row = base.copy()
+            row[high] = np.where(h >> np.arange(len(high)) & 1, other[high], base[high])
+        block = _block_bits(len(base), low, h == 0, None if h else a_at) * delta
+        block += row
+        yield block
+        if h and a_pos == (h + 1) << _LOW_BITS:
+            yield base[None].copy()
 
 
 def mix_family_size(a: Sequence[int], b: Sequence[int]) -> int:
@@ -213,12 +245,10 @@ def is_compatible(algebra: FiniteAlgebra, relation: Relation,
     """
     if algebra.size != relation.n:
         raise ValueError("relation and algebra live on different universes")
-    n = algebra.size
     rows = np.array(list(relation), dtype=algebra.compiled.dtype)
     rows = rows.reshape(len(relation), relation.arity)
     if relation._dense is not None:
-        def inside(values: np.ndarray) -> bool:
-            return relation._dense[_radix(values.T, n, np.int64)].all()
+        inside = relation.has_rows
     else:
         keys = np.sort(_row_keys(rows))
 
@@ -249,9 +279,11 @@ def is_elusive_witness(relation: Relation, a: Sequence[int], b: Sequence[int],
         raise ValueError("witness tuples must match the relation arity")
     if (1 << k) > max_family:
         raise BudgetExceededError(f"2^{k} overwrite family exceeds budget {max_family}")
+    if any(not 0 <= v < relation.n for v in (*a, *b)):
+        raise ValueError("witness entry outside the universe")
     if a in relation:
         return False
-    return all(t in relation for t in mix_family(a, b))
+    return all(relation.has_rows(rows) for rows in mix_family(a, b))
 
 
 # ---------------------------------------------------------------------------

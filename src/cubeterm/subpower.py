@@ -10,7 +10,10 @@ basic operation only to argument tuples touching at least one member added
 since the previous round, so no argument tuple is evaluated twice.
 Generators are folded in chunk by chunk between rounds, which lets a
 membership query succeed long before a large generator family (2**d - 1
-tuples for the cube checks) has even been enumerated.
+tuples for the cube checks) has even been enumerated.  They arrive as a
+stream of 2-D row blocks (`relations.mix_family`) or of single tuples,
+and are re-cut into chunks of exactly ``Budget.generator_chunk`` rows, so
+the rounds do not depend on how the stream was blocked.
 
 Operations come from the algebra's compiled form (`FiniteAlgebra.compiled`,
 built once per algebra and shared by every query): numpy tables in the
@@ -41,12 +44,13 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, groupby, islice
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .algebra import KERNEL_CELLS, FiniteAlgebra, _evaluate, _frontier, _Op, _product, _radix
+from .errors import InputError
 from .relations import DENSE_CODE_LIMIT, Relation, _row_keys, tuple_code
 
 _INT64_CODE_LIMIT = 1 << 62
@@ -71,14 +75,14 @@ class Budget:
 
 
 def default_budget() -> Budget:
-    """Budget honoring the CUBETERM_BUDGET_BYTES environment override."""
+    """Budget honoring the CUBETERM_BUDGET_BYTES environment override,
+    which must be a positive integer."""
     b = Budget()
     env = os.environ.get("CUBETERM_BUDGET_BYTES")
     if env:
-        try:
-            b.dense_limit = max(8, int(env)) * 8
-        except ValueError:
-            pass
+        if not env.isdecimal() or int(env) < 1:
+            raise InputError(f"CUBETERM_BUDGET_BYTES={env!r}: not a positive integer")
+        b.dense_limit = max(8, int(env)) * 8
     return b
 
 
@@ -213,16 +217,14 @@ class _Engine:
         else:
             self._absorb_keys(_radix(cands.T, self.n, self.code_dtype), cands, depth)
 
-    def insert_tuples(self, tuples: list, depth: int = 0) -> None:
-        if not tuples:
-            return
-        arr = np.asarray(tuples)
-        if arr.ndim != 2 or arr.shape[1] != self.K:
+    def insert_rows(self, rows: np.ndarray) -> None:
+        """Add a block of generator rows (depth 0)."""
+        if rows.ndim != 2 or rows.shape[1] != self.K:
             raise ValueError("generator arity does not match")
-        if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= self.n):
+        if int(rows.min()) < 0 or int(rows.max()) >= self.n:
             raise ValueError("generator entry outside the universe")
-        arr = arr.astype(self.dtype)
-        self.absorb(arr if self.mask is None else _radix(arr.T, 2, self.code_dtype), depth)
+        rows = rows.astype(self.dtype, copy=False)
+        self.absorb(rows if self.mask is None else _radix(rows.T, 2, self.code_dtype), 0)
 
     # -- one frontier round --------------------------------------------------
 
@@ -259,15 +261,16 @@ class _Engine:
 
     # -- main loop -----------------------------------------------------------
 
-    def run(self, gens: Iterator) -> None:
+    def run(self, gens: Iterable) -> None:
+        chunks = _row_blocks(gens, self.budget.generator_chunk)
         f_lo = 0
         exhausted = False
         depth = 0
         while True:
             if not exhausted and not self.found:
-                chunk = list(islice(gens, self.budget.generator_chunk))
-                if chunk:
-                    self.insert_tuples(chunk, depth=0)
+                chunk = next(chunks, None)
+                if chunk is not None:
+                    self.insert_rows(chunk)
                 else:
                     exhausted = True
             if self.found or self._over_budget():
@@ -306,22 +309,44 @@ class _Engine:
 # public API
 # ---------------------------------------------------------------------------
 
+def _is_block(item) -> bool:
+    return isinstance(item, np.ndarray) and item.ndim == 2
+
+
+def _row_blocks(items: Iterable, size: int) -> Iterator[np.ndarray]:
+    """Generator rows in blocks of exactly `size` rows, the last one shorter.
+
+    The items are 2-D row blocks or single tuples, in any mix; runs of
+    tuples are grouped into arrays, blocks are split or joined.
+    """
+    if size < 1:
+        raise ValueError("generator_chunk must be at least 1")
+    parts, held = [], 0
+    for is_block, run in groupby(items, _is_block):
+        for block in run if is_block else iter(lambda: list(islice(run, size)), []):
+            block = np.asarray(block)
+            while len(block):
+                parts.append(block[: size - held])
+                held += len(parts[-1])
+                block = block[len(parts[-1]):]
+                if held == size:
+                    yield parts[0] if len(parts) == 1 else np.concatenate(parts)
+                    parts, held = [], 0
+    if parts:
+        yield parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def _infer_arity(generators, target, arity):
     if arity is not None:
-        return arity, iter(generators)
+        return arity, generators
     if target is not None:
-        return len(target), iter(generators)
+        return len(target), generators
     it = iter(generators)
     try:
         first = next(it)
     except StopIteration:
         raise ValueError("cannot infer arity from an empty generator family") from None
-
-    def chained():
-        yield first
-        yield from it
-
-    return len(first), chained()
+    return (first.shape[1] if _is_block(first) else len(first)), chain((first,), it)
 
 
 def generate(algebra: FiniteAlgebra, generators: Iterable, *,

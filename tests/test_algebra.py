@@ -1,4 +1,5 @@
 import random
+import signal
 
 import pytest
 
@@ -163,3 +164,21 @@ def test_json_rejects_malformed():
         )
     with pytest.raises(InputError):
         FiniteAlgebra.from_json([1, 2])
+
+
+def test_negative_mask_rejected():
+    # a negative mask never shifts down to zero; it must be refused, not
+    # looped over (the timer turns a hang into a failure)
+    def hang(*_):
+        raise TimeoutError("negative mask was not refused")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, 0.5)
+    try:
+        with pytest.raises(ValueError):
+            is_subuniverse(fixture("lattice2"), -1)
+        with pytest.raises(ValueError):
+            mask_elements(-5)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

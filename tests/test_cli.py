@@ -169,3 +169,10 @@ def test_pretty_flag_writes_summary(capsys, algebra_file):
     rc, result, err = invoke(capsys, "--pretty", "decide-cube",
                              algebra_file("lattice2"))
     assert rc == 0 and "has_cube_term" in err
+
+
+def test_invalid_budget_env_is_input_error(capsys, algebra_file, monkeypatch):
+    monkeypatch.setenv("CUBETERM_BUDGET_BYTES", "abc")
+    rc, payload, err = invoke(capsys, "check-cube-dim", algebra_file("lattice2"), "-d", "2")
+    assert rc == 2 and payload is None
+    assert "CUBETERM_BUDGET_BYTES" in json.loads(err)["error"]

@@ -1,6 +1,7 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 from conftest import brute_force_subpower, random_idempotent_algebra
@@ -37,6 +38,13 @@ def naive_family(a, b, prefix=()):
     return out
 
 
+def family_rows(a, b, prefix=()):
+    """The rows of the mix_family blocks, concatenated, as tuples."""
+    blocks = list(mix_family(a, b, prefix))
+    assert all(block.ndim == 2 and block.dtype == np.uint8 for block in blocks)
+    return [tuple(int(v) for v in row) for block in blocks for row in block]
+
+
 def test_code_round_trip():
     rng = random.Random(5)
     for _ in range(50):
@@ -65,15 +73,15 @@ def test_mix_complement_symmetry():
 
 
 def test_mix_family_two_coordinates():
-    assert list(mix_family((1, 1), (0, 0))) == [(0, 1), (1, 0), (0, 0)]
+    assert family_rows((1, 1), (0, 0)) == [(0, 1), (1, 0), (0, 0)]
 
 
 def test_mix_family_equal_tuples_collapse():
-    assert list(mix_family((1, 0), (1, 0))) == [(1, 0)]
+    assert family_rows((1, 0), (1, 0)) == [(1, 0)]
 
 
 def test_mix_family_with_prefix():
-    got = list(mix_family((1, 1), (0, 0), prefix=(0, 1)))
+    got = family_rows((1, 1), (0, 0), prefix=(0, 1))
     assert got == [(0, 1, 0, 1), (0, 1, 1, 0), (0, 1, 0, 0)]
 
 
@@ -84,7 +92,27 @@ def test_mix_family_matches_naive_enumeration():
         a = tuple(rng.randrange(3) for _ in range(k))
         b = tuple(rng.randrange(3) for _ in range(k))
         prefix = tuple(rng.randrange(3) for _ in range(rng.randint(0, 2)))
-        assert list(mix_family(a, b, prefix)) == naive_family(a, b, prefix)
+        assert family_rows(a, b, prefix) == naive_family(a, b, prefix)
+
+
+def test_mix_family_wide_blocks():
+    # more than 12 differing coordinates: several blocks, and a itself may
+    # land inside the first block, on a block boundary or at the very end
+    for k, same in [(13, ()), (14, (13,)), (15, (14,)), (16, (12,)), (16, (13, 2)),
+                    (14, (5,)), (13, (12,)), (15, (0,))]:
+        a = (0,) * k
+        b = tuple(0 if i in same else 1 for i in range(k))
+        blocks = list(mix_family(a, b, prefix=(2,)))
+        assert len(blocks) > 1 or k - len(same) <= 12
+        assert max(len(block) for block in blocks) <= 4096
+        assert family_rows(a, b, (2,)) == naive_family(a, b, (2,))
+
+
+def test_mix_family_element_dtype():
+    assert {block.dtype for block in mix_family((300, 1), (0, 2))} == {np.dtype(np.uint16)}
+    assert [row.tolist() for block in mix_family((300, 1), (0, 2)) for row in block] == \
+        [list(t) for t in naive_family((300, 1), (0, 2))]
+    assert list(mix_family((), ())) == []
 
 
 def test_is_compatible_lattice_elusive_relation():
@@ -130,6 +158,33 @@ def test_elusive_witness_lattice():
 def test_elusive_witness_fails_when_member():
     rel = Relation.from_tuples(2, 2, PAPER_BINARY)
     assert not is_elusive_witness(rel, (0, 0), (1, 1))
+
+
+def test_elusive_witness_matches_per_tuple_check():
+    rng = random.Random(31)
+    for _ in range(80):
+        n = rng.randint(2, 3)
+        k = rng.randint(1, 5)
+        a = tuple(rng.randrange(n) for _ in range(k))
+        # equal coordinates with probability about one half
+        b = tuple(v if rng.random() < 0.5 else rng.randrange(n) for v in a)
+        members = set(naive_family(a, b))
+        members = {t for t in members if rng.random() < 0.9}
+        members |= {tuple(rng.randrange(n) for _ in range(k)) for _ in range(3)}
+        expected = a not in members and all(
+            mix(a, b, [i for i in range(k) if m >> i & 1]) in members
+            for m in range(1, 1 << k))
+        for dense_limit in (1 << 26, 1):
+            rel = Relation.from_tuples(n, k, members, dense_limit=dense_limit)
+            assert is_elusive_witness(rel, a, b) == expected
+
+
+def test_elusive_witness_refusals():
+    rel = Relation.from_tuples(2, 2, PAPER_BINARY)
+    with pytest.raises(ValueError):
+        is_elusive_witness(rel, (1, 2), (0, 1))
+    with pytest.raises(BudgetExceededError):
+        is_elusive_witness(rel, (1, 0), (0, 1), max_family=2)
 
 
 def test_elusive_witness_constant3_relation():

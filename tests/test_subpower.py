@@ -6,6 +6,7 @@ from conftest import brute_force_subpower, random_idempotent_algebra
 from cubeterm import (
     Budget,
     FiniteAlgebra,
+    InputError,
     OperationTable,
     default_budget,
     fixture,
@@ -155,8 +156,10 @@ def test_one_element_universe():
 def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("CUBETERM_BUDGET_BYTES", "1024")
     assert default_budget().dense_limit == 1024 * 8
-    monkeypatch.setenv("CUBETERM_BUDGET_BYTES", "junk")
-    assert default_budget().dense_limit == Budget().dense_limit
+    for junk in ("junk", "1.5", "0", "-8"):
+        monkeypatch.setenv("CUBETERM_BUDGET_BYTES", junk)
+        with pytest.raises(InputError):
+            default_budget()
 
 
 def test_constant_operation_tables():
@@ -186,3 +189,43 @@ def test_code_space_of_exactly_2_to_the_62():
     t = tuple(i % 2 for i in range(62))
     ans = membership(neg2, [t], t)
     assert ans.found and ans.witness_depth == 0
+
+
+def test_blocks_and_tuples_give_identical_runs():
+    # the same generator rows fed as mix_family blocks or as plain tuples
+    # must close in the same chunks: same answers, same partial relations
+    rng = random.Random(23)
+    cases = [(fixture("lattice2"), (1,) * 4, (0,) * 4, ()),
+             (fixture("constant3"), (1,) * 4, (2,) * 4, (0, 1, 2)),
+             (fixture("semilattice2"), (1, 0, 1), (0, 0, 1), (1,))]
+    for _ in range(6):
+        n = rng.randint(2, 3)
+        k = rng.randint(2, 5)
+        cases.append((random_idempotent_algebra(rng, n, [2, 3]),
+                      tuple(rng.randrange(n) for _ in range(k)),
+                      tuple(rng.randrange(n) for _ in range(k)), ()))
+    for alg, a, b, prefix in cases:
+        rows = [tuple(int(v) for v in row) for block in mix_family(a, b, prefix)
+                for row in block]
+        target = tuple(prefix) + tuple(a)
+        for budget in (Budget(generator_chunk=1), Budget(generator_chunk=3), Budget()):
+            assert (membership(alg, mix_family(a, b, prefix), target, budget=budget)
+                    == membership(alg, rows, target, budget=budget))
+            assert (generate(alg, mix_family(a, b, prefix), budget=budget)
+                    == generate(alg, rows, budget=budget))
+
+
+def test_generator_chunks_span_several_blocks():
+    # 2**13 - 1 masks on 13 differing coordinates, then a itself: the
+    # family arrives as blocks of 4095, 4096 and 1 rows and is re-cut into
+    # chunks that split and join those blocks
+    alg = fixture("semilattice2")
+    a, b = (1,) * 14, (0,) * 13 + (1,)
+    assert [len(block) for block in mix_family(a, b)] == [4095, 4096, 1]
+    rows = [tuple(int(v) for v in row) for block in mix_family(a, b) for row in block]
+    for chunk in (1000, 4095, 4097):
+        budget = Budget(generator_chunk=chunk)
+        assert (generate(alg, mix_family(a, b), target=a, budget=budget)
+                == generate(alg, rows, target=a, budget=budget))
+    with pytest.raises(ValueError):
+        membership(alg, rows, a, budget=Budget(generator_chunk=0))
