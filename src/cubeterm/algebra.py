@@ -60,10 +60,6 @@ def mask_elements(mask: int) -> list[int]:
     return out
 
 
-def mask_size(mask: int) -> int:
-    return bin(mask).count("1")
-
-
 def full_mask(n: int) -> int:
     return (1 << n) - 1
 
@@ -88,13 +84,6 @@ class OperationTable:
 
     def __post_init__(self):
         object.__setattr__(self, "table", tuple(self.table))
-
-    def index(self, args: tuple[int, ...], n: int) -> int:
-        """Big-endian position of an argument tuple in the flat table."""
-        idx = 0
-        for a in args:
-            idx = idx * n + a
-        return idx
 
 
 @dataclass(frozen=True)
@@ -215,13 +204,19 @@ class CompiledAlgebra:
     every closure and every check runs over `ops` alone.
     """
 
-    dtype: type
+    dtype: np.dtype
     ops: tuple[_Op, ...]
+
+
+def element_dtype(n: int) -> np.dtype:
+    """Dtype that holds the elements of an n-element universe: uint8 up to
+    256 elements, uint16 up to MAX_SIZE."""
+    return np.min_scalar_type(n - 1)
 
 
 def _compile(algebra: FiniteAlgebra) -> CompiledAlgebra:
     n = algebra.size
-    dtype = np.uint8 if n <= 256 else np.uint16
+    dtype = element_dtype(n)
     ops: list[_Op] = []
     seen = set()
     for op in algebra.operations:

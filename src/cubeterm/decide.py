@@ -22,7 +22,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
+
+import numpy as np
 
 from .algebra import FiniteAlgebra, full_mask, is_idempotent
 from .blockers import Blocker, find_blocker
@@ -120,53 +122,38 @@ def idempotent_bound_applies(algebra: FiniteAlgebra) -> bool:
 # stacked instances
 # ---------------------------------------------------------------------------
 
-class _Stack:
-    """Row layout shared by the cube/edge/NU checks.
-
-    Rows: one per (coordinate i, value pair (a, b)) with a != b, in
-    lexicographic order, then one constant row per universe value (the
-    merged diagonal pairs).
-    """
-
-    def __init__(self, n: int, width: int):
-        self.n = n
-        self.width = width
-        self.vary = [
-            (i, a, b)
-            for i in range(width)
-            for a in range(n) for b in range(n) if a != b
-        ]
-        self.consts = tuple(range(n))
-
-    def column(self, coords) -> tuple[int, ...]:
-        inside = set(coords)
-        return tuple(
-            b if i in inside else a for (i, a, b) in self.vary
-        ) + self.consts
-
-    def target(self) -> tuple[int, ...]:
-        return tuple(a for (_, a, _) in self.vary) + self.consts
+#: Rows per block of the streamed cube columns.
+_COLUMN_BLOCK = 4096
 
 
-def _cube_columns(stack: _Stack, d: int) -> Iterator[tuple[int, ...]]:
-    for m in range(1, 1 << d):
-        yield stack.column(i for i in range(d) if m >> i & 1)
+def _cube_selections(d: int) -> Iterator[np.ndarray]:
+    """The nonempty coordinate sets of a d-cube as 0/1 rows (bit i of the
+    mask = coordinate i), in increasing mask order, streamed in blocks."""
+    for lo in range(1, 1 << d, _COLUMN_BLOCK):
+        masks = np.arange(lo, min(lo + _COLUMN_BLOCK, 1 << d))
+        yield (masks[:, None] >> np.arange(d) & 1).astype(bool)
 
 
-def _edge_columns(stack: _Stack, d: int) -> Iterator[tuple[int, ...]]:
-    yield stack.column((0, 1))
-    for i in range(d):
-        yield stack.column((i,))
-
-
-def _nu_columns(stack: _Stack, k: int) -> Iterator[tuple[int, ...]]:
-    for i in range(k):
-        yield stack.column((i,))
-
-
-def _stacked_query(algebra: FiniteAlgebra, columns, stack: _Stack,
+def _stacked_query(algebra: FiniteAlgebra, width: int, selections: Iterable[np.ndarray],
                    budget: Budget, what: str) -> bool:
-    ans = membership(algebra, columns, stack.target(), budget=budget)
+    """Is the target column in the subpower generated by the stacked columns?
+
+    Rows of the stack: one per (coordinate i, value pair (a, b)) with
+    a != b, in lexicographic order, then one constant row per universe value
+    (the merged diagonal pairs).  Each row of a 0/1 selection block gives
+    one generator column: b at the rows of the selected coordinates, a
+    elsewhere.  The target column is a at every varying row.
+    """
+    n = algebra.size
+    pairs = np.array([(x, y) for x in range(n) for y in range(n) if x != y],
+                     dtype=algebra.compiled.dtype)
+    a, b = np.tile(pairs, (width, 1)).T
+    coord = np.repeat(np.arange(width), len(pairs))
+    consts = np.arange(n, dtype=pairs.dtype)
+    columns = (np.hstack([np.where(bits[:, coord], b, a),
+                          np.broadcast_to(consts, (len(bits), n))])
+               for bits in selections)
+    ans = membership(algebra, columns, (*a.tolist(), *range(n)), budget=budget)
     if ans.truncated and not ans.found:
         raise BudgetExceededError(f"{what}: closure budget exhausted before a decision")
     return ans.found
@@ -217,9 +204,7 @@ def check_cube_dim(algebra: FiniteAlgebra, d: int, *,
         return _check_cube_pointwise(algebra, d, budget)
     if method != "stacked":
         raise ValueError(f"unknown method {method!r}")
-    stack = _Stack(algebra.size, d)
-    return _stacked_query(algebra, _cube_columns(stack, d), stack, budget,
-                          f"cube dimension {d}")
+    return _stacked_query(algebra, d, _cube_selections(d), budget, f"cube dimension {d}")
 
 
 def check_edge_dim(algebra: FiniteAlgebra, d: int, *,
@@ -230,9 +215,9 @@ def check_edge_dim(algebra: FiniteAlgebra, d: int, *,
     if algebra.size == 1:
         return True
     budget = budget or default_budget()
-    stack = _Stack(algebra.size, d)
-    return _stacked_query(algebra, _edge_columns(stack, d), stack, budget,
-                          f"edge dimension {d}")
+    # the columns select {0, 1}, then each single coordinate
+    selections = np.vstack([np.arange(d) < 2, np.eye(d, dtype=bool)])
+    return _stacked_query(algebra, d, [selections], budget, f"edge dimension {d}")
 
 
 def check_nu(algebra: FiniteAlgebra, k: int, *,
@@ -243,8 +228,7 @@ def check_nu(algebra: FiniteAlgebra, k: int, *,
     if algebra.size == 1:
         return True
     budget = budget or default_budget()
-    stack = _Stack(algebra.size, k)
-    return _stacked_query(algebra, _nu_columns(stack, k), stack, budget,
+    return _stacked_query(algebra, k, [np.eye(k, dtype=bool)], budget,
                           f"near-unanimity arity {k}")
 
 

@@ -2,9 +2,8 @@
 cube-term checks.
 
 A k-tuple over a universe of size n has a canonical integer code, big-endian
-like operation tables: code(t) = t[0]*n**(k-1) + ... + t[k-1].  Relations
-store member codes either in a dense bitset (when the code space n**k is
-small enough) or in a hash set.
+like operation tables: code(t) = t[0]*n**(k-1) + ... + t[k-1].  A relation
+holds its members as one row array in the element dtype, sorted by code.
 """
 
 from __future__ import annotations
@@ -17,11 +16,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, _product, _radix, mask_elements, mask_of
+from .algebra import FiniteAlgebra, _product, element_dtype, mask_elements, mask_of
 from .errors import BudgetExceededError, InputError
-
-#: Largest code space held as a dense bitset (2**26 bits = 8 MiB).
-DENSE_CODE_LIMIT = 1 << 26
 
 
 def tuple_code(entries: Sequence[int], n: int) -> int:
@@ -40,6 +36,16 @@ def code_tuple(code: int, arity: int, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One bytes key per row of a digit array.
+
+    The digits are laid out big-endian, so the keys compare like the
+    rows' tuple codes.
+    """
+    rows = np.ascontiguousarray(rows, dtype=rows.dtype.newbyteorder(">"))
+    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+
+
 # ---------------------------------------------------------------------------
 # Relation
 # ---------------------------------------------------------------------------
@@ -47,83 +53,69 @@ def code_tuple(code: int, arity: int, n: int) -> tuple[int, ...]:
 class Relation:
     """An arity-k set of k-tuples over {0..n-1}.
 
-    Immutable once built.  Membership, iteration and JSON round-tripping
-    work the same whichever backend holds the codes.
+    Immutable once built.  `rows` holds the members as one duplicate-free
+    2-D array in the element dtype, in increasing code order, which is
+    lexicographic order; membership is one lookup in the sorted row keys.
     """
 
-    def __init__(self, n: int, arity: int, codes: Iterable[int] = (),
-                 dense_limit: int = DENSE_CODE_LIMIT):
+    def __init__(self, n: int, arity: int, rows=()):
         if n < 1 or arity < 1:
             raise ValueError("need n >= 1 and arity >= 1")
+        rows = np.asarray(rows)
+        if rows.size == 0:
+            rows = rows.reshape(0, arity)
+        if rows.ndim != 2 or rows.shape[1] != arity:
+            raise ValueError(f"members must be rows of {arity} entries")
+        if rows.size and (rows.min() < 0 or rows.max() >= n):
+            raise ValueError(f"tuple entry outside 0..{n - 1}")
         self.n = n
         self.arity = arity
-        self._space = n ** arity
-        self._dense: Optional[np.ndarray] = None
-        self._set: Optional[set[int]] = None
-        if self._space <= dense_limit:
-            self._dense = np.zeros(self._space, dtype=bool)
-            for c in codes:
-                self._dense[c] = True
-            self._size = int(self._dense.sum())
-        else:
-            self._set = set(codes)
-            self._size = len(self._set)
+        rows = rows.astype(element_dtype(n))
+        self._keys, first = np.unique(_row_keys(rows), return_index=True)
+        self.rows = rows[first]
+        self.rows.flags.writeable = False
 
     @classmethod
-    def from_tuples(cls, n: int, arity: int, tuples: Iterable[Sequence[int]],
-                    dense_limit: int = DENSE_CODE_LIMIT) -> "Relation":
-        return cls(n, arity, (tuple_code(t, n) for t in tuples), dense_limit)
-
-    def has_code(self, code: int) -> bool:
-        if not 0 <= code < self._space:
-            return False
-        if self._dense is not None:
-            return bool(self._dense[code])
-        return code in self._set
+    def from_tuples(cls, n: int, arity: int, tuples: Iterable[Sequence[int]]) -> "Relation":
+        return cls(n, arity, list(tuples))
 
     def has_rows(self, rows: np.ndarray) -> bool:
         """True iff every row of a 2-D array over {0..n-1} is a member."""
-        if self._dense is not None:
-            return bool(self._dense[_radix(rows.T, self.n, np.int64)].all())
-        codes = _radix(rows.T, self.n, np.int64 if self._space <= 1 << 62 else object)
-        return self._set.issuperset(codes.tolist())
+        if not len(self._keys):
+            return not len(rows)
+        probe = _row_keys(rows.astype(self.rows.dtype, copy=False))
+        at = np.minimum(np.searchsorted(self._keys, probe), len(self._keys) - 1)
+        return bool((self._keys[at] == probe).all())
 
     def __contains__(self, entries: Sequence[int]) -> bool:
-        if len(entries) != self.arity:
+        if len(entries) != self.arity or not all(0 <= v < self.n for v in entries):
             return False
-        return self.has_code(tuple_code(entries, self.n))
+        return self.has_rows(np.array([entries]))
 
     def __len__(self) -> int:
-        return self._size
-
-    def codes(self) -> Iterator[int]:
-        """Member codes in increasing order."""
-        if self._dense is not None:
-            return iter(int(c) for c in np.flatnonzero(self._dense))
-        return iter(sorted(self._set))
+        return len(self.rows)
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return (code_tuple(c, self.arity, self.n) for c in self.codes())
+        return map(tuple, self.rows.tolist())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Relation):
             return NotImplemented
         return (self.n == other.n and self.arity == other.arity
-                and list(self.codes()) == list(other.codes()))
+                and np.array_equal(self.rows, other.rows))
 
     def __repr__(self) -> str:
-        return f"Relation(n={self.n}, arity={self.arity}, size={self._size})"
+        return f"Relation(n={self.n}, arity={self.arity}, size={len(self)})"
 
     def project(self, coords: Sequence[int]) -> "Relation":
         """Projection onto a subsequence of coordinates."""
         coords = list(coords)
         if any(not 0 <= c < self.arity for c in coords):
             raise ValueError("projection coordinate out of range")
-        tuples = {tuple(t[c] for c in coords) for t in self}
-        return Relation.from_tuples(self.n, len(coords), tuples)
+        return Relation(self.n, len(coords), self.rows[:, coords])
 
     def to_json(self) -> dict:
-        return {"arity": self.arity, "tuples": [list(t) for t in self]}
+        return {"arity": self.arity, "tuples": self.rows.tolist()}
 
     @classmethod
     def from_json(cls, obj, n: int) -> "Relation":
@@ -229,12 +221,6 @@ def mix_family_size(a: Sequence[int], b: Sequence[int]) -> int:
 # compatibility and elusiveness
 # ---------------------------------------------------------------------------
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One comparable bytes key per row of a digit array."""
-    rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
-
-
 def is_compatible(algebra: FiniteAlgebra, relation: Relation,
                   max_checks: int = 10 ** 7) -> bool:
     """True iff every basic operation maps the relation into itself.
@@ -245,24 +231,14 @@ def is_compatible(algebra: FiniteAlgebra, relation: Relation,
     """
     if algebra.size != relation.n:
         raise ValueError("relation and algebra live on different universes")
-    rows = np.array(list(relation), dtype=algebra.compiled.dtype)
-    rows = rows.reshape(len(relation), relation.arity)
-    if relation._dense is not None:
-        inside = relation.has_rows
-    else:
-        keys = np.sort(_row_keys(rows))
-
-        def inside(values: np.ndarray) -> bool:
-            probe = _row_keys(values)
-            at = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
-            return (keys[at] == probe).all()
+    rows = relation.rows
     for op in algebra.compiled.ops:
         if len(rows) ** op.arity > max_checks:
             raise BudgetExceededError(
                 f"compatibility scan |R|^{op.arity} = {len(rows) ** op.arity} "
                 f"exceeds budget {max_checks}"
             )
-        if not all(inside(values) for values in _product(op, [rows] * op.arity)):
+        if not all(relation.has_rows(values) for values in _product(op, [rows] * op.arity)):
             return False
     return True
 

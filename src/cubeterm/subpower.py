@@ -28,7 +28,8 @@ two-element closures.
 One format decision, made from the code space n**K when a query starts,
 fixes how members are held and deduplicated:
 
-* ``dense``: n**K up to ``Budget.dense_limit``; a bitset over all codes,
+* ``dense``: n**K up to ``Budget.dense_limit``; a bool array over all
+  codes, one byte per code,
 * ``int``: n**K up to 2**62; a hash set of int64 codes,
 * ``bytes``: beyond that; a hash set of raw digit rows.
 
@@ -51,8 +52,10 @@ import numpy as np
 
 from .algebra import KERNEL_CELLS, FiniteAlgebra, _evaluate, _frontier, _Op, _product, _radix
 from .errors import InputError
-from .relations import DENSE_CODE_LIMIT, Relation, _row_keys, tuple_code
+from .relations import Relation, _row_keys, tuple_code
 
+#: Largest code space held as a dense bool array (2**26 codes = 64 MiB).
+DENSE_CODE_LIMIT = 1 << 26
 _INT64_CODE_LIMIT = 1 << 62
 
 
@@ -63,8 +66,9 @@ class Budget:
     max_members caps how many tuples the closure may hold; max_seconds is
     wall-clock.  Hitting either stops the run with truncated=True rather
     than returning a wrong answer.  dense_limit is the largest code space
-    kept as a dense bitset; cell_budget caps the cells of one kernel chunk,
-    the unit in which candidates are evaluated and absorbed.
+    kept as a dense bool array, one byte per code; cell_budget caps the
+    cells of one kernel chunk, the unit in which candidates are evaluated
+    and absorbed.
     """
 
     max_members: int = 10 ** 8
@@ -75,14 +79,14 @@ class Budget:
 
 
 def default_budget() -> Budget:
-    """Budget honoring the CUBETERM_BUDGET_BYTES environment override,
-    which must be a positive integer."""
+    """Budget honoring the CUBETERM_BUDGET_BYTES environment override: a
+    positive integer, the largest dense bool array in bytes."""
     b = Budget()
     env = os.environ.get("CUBETERM_BUDGET_BYTES")
     if env:
         if not env.isdecimal() or int(env) < 1:
             raise InputError(f"CUBETERM_BUDGET_BYTES={env!r}: not a positive integer")
-        b.dense_limit = max(8, int(env)) * 8
+        b.dense_limit = int(env)
     return b
 
 
@@ -288,13 +292,13 @@ class _Engine:
 
     # -- output ----------------------------------------------------------------
 
-    def member_codes(self) -> Iterator[int]:
+    def rows(self) -> np.ndarray:
+        """The members as rows; K-bit codes are unpacked to 0/1 rows."""
         members = self.store[: self.count]
         if self.mask is None:
-            if self.key == "bytes":
-                return (tuple_code(row.tolist(), self.n) for row in members)
-            members = _radix(members.T, self.n, self.code_dtype)
-        return (int(c) for c in members)
+            return members
+        octets = members.astype(">u8").view(np.uint8).reshape(-1, 8)
+        return np.unpackbits(octets, axis=1)[:, 64 - self.K:]
 
     def answer(self) -> MembershipAnswer:
         return MembershipAnswer(
@@ -364,7 +368,7 @@ def generate(algebra: FiniteAlgebra, generators: Iterable, *,
     k, gens = _infer_arity(generators, target, arity)
     eng = _Engine(algebra, k, target, budget)
     eng.run(gens)
-    rel = Relation(algebra.size, k, eng.member_codes(), dense_limit=budget.dense_limit)
+    rel = Relation(algebra.size, k, eng.rows())
     return rel, eng.answer()
 
 

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from conftest import random_idempotent_algebra
@@ -10,6 +11,7 @@ from cubeterm import (
     Blocker,
     Budget,
     FiniteAlgebra,
+    MembershipAnswer,
     OperationTable,
     bound_general,
     bound_idempotent_N,
@@ -28,6 +30,7 @@ from cubeterm import (
     mask_of,
     minimal_cube_dimension,
 )
+from cubeterm import decide
 
 
 def _alg(n, *arities):
@@ -278,3 +281,42 @@ def test_general_agrees_with_idempotent_on_random_binary_algebras():
         fast = decide_cube_idempotent(alg).verdict
         slow = decide_cube_general(alg, use_idempotent_path=False).verdict
         assert fast == slow
+
+
+def test_stacked_columns_match_per_column_rule(monkeypatch):
+    # the stacked queries, captured, against the column rule written out:
+    # one row per (coordinate i, pair a != b), b where i is selected and a
+    # elsewhere, then one constant row per value; the target is all a
+    issued = []
+
+    def capture(algebra, generators, target, *, budget=None):
+        issued.append(([np.array(block) for block in generators], tuple(target)))
+        return MembershipAnswer(found=True, closure_size=0)
+
+    monkeypatch.setattr(decide, "membership", capture)
+
+    def column(n, width, chosen):
+        return tuple(b if i in chosen else a
+                     for i in range(width) for a in range(n) for b in range(n)
+                     if a != b) + tuple(range(n))
+
+    def expected(n, width, selections):
+        return [column(n, width, chosen) for chosen in selections], column(n, width, ())
+
+    for n, alg in ((2, fixture("lattice2")), (3, idempotent_quasigroup(3))):
+        for d in (1, 2, 3, 5, 13):
+            check_cube_dim(alg, d, method="stacked")
+            queries = [[{i for i in range(d) if m >> i & 1} for m in range(1, 1 << d)]]
+            if d >= 2:
+                check_edge_dim(alg, d)
+                queries.append([{0, 1}] + [{i} for i in range(d)])
+            if d >= 3:
+                check_nu(alg, d)
+                queries.append([{i} for i in range(d)])
+            for (blocks, target), selections in zip(issued, queries, strict=True):
+                assert all(len(block) <= 4096 for block in blocks)
+                rows = [tuple(row) for block in blocks for row in block.tolist()]
+                assert (rows, target) == expected(n, d, selections)
+            if d == 13:
+                assert len(issued[0][0]) == 2  # 8191 cube columns in two blocks
+            issued.clear()

@@ -174,9 +174,8 @@ def test_elusive_witness_matches_per_tuple_check():
         expected = a not in members and all(
             mix(a, b, [i for i in range(k) if m >> i & 1]) in members
             for m in range(1, 1 << k))
-        for dense_limit in (1 << 26, 1):
-            rel = Relation.from_tuples(n, k, members, dense_limit=dense_limit)
-            assert is_elusive_witness(rel, a, b) == expected
+        rel = Relation.from_tuples(n, k, members)
+        assert is_elusive_witness(rel, a, b) == expected
 
 
 def test_elusive_witness_refusals():
@@ -277,11 +276,31 @@ def test_relation_json_rejects_malformed():
 def test_relation_projection():
     rel = Relation.from_tuples(2, 3, [(0, 1, 1), (1, 0, 1)])
     assert set(rel.project([0, 2])) == {(0, 1), (1, 1)}
+    # members are held once, sorted by code, whatever the input order
+    rel = Relation.from_tuples(3, 3, [(0, 1, 2), (2, 1, 0), (1, 1, 1), (0, 1, 2)])
+    assert len(rel) == 3 and list(rel) == [(0, 1, 2), (1, 1, 1), (2, 1, 0)]
+    assert (0, 1, 2) in rel and (0, 0, 0) not in rel and (0, 1) not in rel
+    assert rel == Relation.from_tuples(3, 3, [(2, 1, 0), (1, 1, 1), (0, 1, 2)])
 
 
-def test_relation_dense_and_sparse_agree():
-    tuples = [(0, 1, 2), (2, 1, 0), (1, 1, 1)]
-    dense = Relation.from_tuples(3, 3, tuples)
-    sparse = Relation.from_tuples(3, 3, tuples, dense_limit=1)
-    assert dense == sparse and len(sparse) == 3
-    assert (0, 1, 2) in sparse and (0, 0, 0) not in sparse
+def test_relation_rejects_entries_outside_the_universe():
+    # entries outside 0..n-1 once aliased other codes: (0, 2) has the code of (1, 0)
+    assert (0, 2) not in Relation.from_tuples(2, 2, [(1, 0)])
+    assert (0, -1) not in Relation.from_tuples(2, 2, [(0, 1)])
+    with pytest.raises(ValueError):
+        Relation.from_tuples(2, 2, [(0, 2)])
+    with pytest.raises(ValueError):
+        Relation.from_tuples(2, 2, [(0, -1)])
+
+
+def test_relation_above_256_elements_in_code_order():
+    rng = random.Random(3)
+    tuples = {(rng.randrange(300), rng.randrange(300)) for _ in range(500)}
+    tuples |= {(0, 299), (1, 0), (255, 256), (256, 255), (299, 299)}
+    tuples.discard((299, 298))
+    rel = Relation.from_tuples(300, 2, tuples)
+    assert rel.rows.dtype == np.uint16
+    ordered = sorted(tuples, key=lambda t: tuple_code(t, 300))
+    assert list(rel) == ordered
+    assert rel.to_json() == {"arity": 2, "tuples": [list(t) for t in ordered]}
+    assert all(t in rel for t in tuples) and (299, 298) not in rel

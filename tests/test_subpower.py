@@ -90,7 +90,7 @@ def test_deterministic_output():
     gens = [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
     first, _ = generate(alg, gens)
     second, _ = generate(alg, gens)
-    assert list(first.codes()) == list(second.codes())
+    assert list(first) == list(second)
 
 
 def test_explicit_truncation():
@@ -155,7 +155,7 @@ def test_one_element_universe():
 
 def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("CUBETERM_BUDGET_BYTES", "1024")
-    assert default_budget().dense_limit == 1024 * 8
+    assert default_budget().dense_limit == 1024
     for junk in ("junk", "1.5", "0", "-8"):
         monkeypatch.setenv("CUBETERM_BUDGET_BYTES", junk)
         with pytest.raises(InputError):
