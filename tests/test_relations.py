@@ -283,6 +283,17 @@ def test_relation_projection():
     assert rel == Relation.from_tuples(3, 3, [(2, 1, 0), (1, 1, 1), (0, 1, 2)])
 
 
+def test_relation_dense_and_sparse_agree():
+    # a relation given as a list of tuples and one given as a row array
+    # (wider dtype, unsorted, with repeats) are the same relation
+    tuples = [(0, 1, 2), (2, 1, 0), (1, 1, 1)]
+    sparse = Relation.from_tuples(3, 3, tuples)
+    dense = Relation(3, 3, np.array(tuples[::-1] + tuples[:1], dtype=np.int64))
+    assert dense == sparse and len(dense) == 3
+    assert dense.rows.dtype == sparse.rows.dtype
+    assert (0, 1, 2) in dense and (0, 0, 0) not in dense
+
+
 def test_relation_rejects_entries_outside_the_universe():
     # entries outside 0..n-1 once aliased other codes: (0, 2) has the code of (1, 0)
     assert (0, 2) not in Relation.from_tuples(2, 2, [(1, 0)])
