@@ -10,6 +10,7 @@ from .algebra import (
     mask_elements,
     mask_of,
     sg,
+    sg_many,
     validate,
 )
 from .blockers import Blocker, exhaustive_blocker_search, find_blocker, verify_blocker
@@ -60,7 +61,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FiniteAlgebra", "OperationTable", "apply", "validate", "is_idempotent",
-    "sg", "is_subuniverse", "enumerate_subuniverses", "mask_of", "mask_elements",
+    "sg", "sg_many", "is_subuniverse", "enumerate_subuniverses", "mask_of", "mask_elements",
     "Relation", "ChippedCubeSpec", "tuple_code", "code_tuple", "mix",
     "mix_family", "is_compatible", "is_elusive_witness", "chipped_cube",
     "Budget", "MembershipAnswer", "default_budget", "generate", "membership",

@@ -9,8 +9,9 @@ means element i is in the set).
 Every evaluation of operations over many arguments goes through one kernel:
 `_evaluate` applies a compiled operation to broadcastable argument arrays,
 and `_product` feeds it the cartesian products of argument stores in
-chunks.  `sg`, `is_subuniverse`, the blocker absorption check, the
-compatibility scan and the subpower closure engine all use it.
+chunks.  `is_subuniverse`, the blocker absorption check, the compatibility
+scan, the subpower closure engine and the batched Sg closure (`sg_many`,
+fed by `_ragged_product`, with `sg` as its one-row case) all use it.
 """
 
 from __future__ import annotations
@@ -50,14 +51,7 @@ def mask_elements(mask: int) -> list[int]:
     """Sorted list of elements in a bitmask."""
     if mask < 0:
         raise ValueError(f"negative element mask {mask}")
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
+    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
 def full_mask(n: int) -> int:
@@ -378,30 +372,64 @@ def is_idempotent(algebra: FiniteAlgebra) -> bool:
     return True
 
 
-def sg(algebra: FiniteAlgebra, seed) -> int:
-    """Subuniverse generated by a seed set, as a bitmask.
+def _ragged_product(op: _Op, stores, cells: int = KERNEL_CELLS):
+    """Yield (rows, values): op over each row's own cartesian product, row r
+    taking argument j from row r of the bool matrix stores[j].  All rows'
+    combinations are numbered in one sequence, taken `cells` at a time."""
+    counts = [s.sum(axis=1) for s in stores]
+    totals = math.prod(counts)
+    ends = np.cumsum(totals)
+    total = int(ends[-1])
+    if not total:
+        return
+    elems = [np.nonzero(s)[1] for s in stores]
+    starts = [np.cumsum(c) - c for c in counts]
+    for lo in range(0, total, cells):
+        flat = np.arange(lo, min(lo + cells, total))
+        rows = np.searchsorted(ends, flat, side="right")
+        left = flat - (ends - totals)[rows]
+        args = [None] * op.arity
+        for j in reversed(range(op.arity)):
+            left, digit = np.divmod(left, counts[j][rows])
+            args[j] = elems[j][starts[j][rows] + digit]
+        yield rows, _evaluate(op, args)
 
-    Grows the set in rounds; each round applies every basic operation to
-    the argument tuples that touch at least one element added in the
-    previous round, so no tuple is processed twice.  sg of the empty set
-    is empty (there are no nullary operations).
+
+def sg_many(algebra: FiniteAlgebra, seeds) -> list[int]:
+    """Subuniverses generated by many seed sets at once, as bitmasks.
+
+    Each row of a (seeds x n) membership matrix grows in rounds, applying
+    every operation to the argument tuples that touch an element the row
+    gained in the previous round, so no tuple is processed twice.  A row
+    holding the whole universe leaves the frontier.  Sg({}) is empty.
     """
     n = algebra.size
-    seed_mask = _as_mask(seed)
-    if seed_mask < 0 or seed_mask >> n:
+    masks = [_as_mask(s) for s in seeds]
+    if any(m < 0 or m >> n for m in masks):
         raise ValueError("seed contains elements outside the universe")
-    old = np.empty(0, dtype=np.intp)
-    new = np.array(mask_elements(seed_mask), dtype=np.intp)
-    while new.size:
-        every = np.concatenate((old, new))
-        hit = np.zeros(n, dtype=bool)
+    width = (n + 7) // 8
+    octets = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
+    new = np.unpackbits(octets.reshape(len(masks), width), axis=1, count=n,
+                        bitorder="little").astype(bool)
+    every = np.zeros_like(new)
+    while True:
+        old, every = every, every | new
+        live = np.flatnonzero(new.any(axis=1) & ~every.all(axis=1))
+        if not live.size:
+            break
+        hit, parts = np.zeros_like(every), (old[live], new[live], every[live])
         for op in algebra.compiled.ops:
-            for stores in _frontier(op.arity, old, new, every):
-                for values in _product(op, stores):
-                    hit[values] = True
-        hit[every] = False
-        old, new = every, np.flatnonzero(hit)
-    return mask_of(old.tolist())
+            for stores in _frontier(op.arity, *parts):
+                for rows, values in _ragged_product(op, stores):
+                    hit[live[rows], values] = True
+        new = hit & ~every
+    packed = np.packbits(every, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def sg(algebra: FiniteAlgebra, seed) -> int:
+    """Subuniverse generated by a seed set, as a bitmask: `sg_many`'s one row."""
+    return sg_many(algebra, [seed])[0]
 
 
 def is_subuniverse(algebra: FiniteAlgebra, candidate) -> bool:

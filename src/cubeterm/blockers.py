@@ -25,7 +25,8 @@ from .algebra import (
     is_subuniverse,
     mask_elements,
     mask_of,
-    sg,
+    sg,  # noqa: F401 - kept as blockers.sg for callers that wrap it by name
+    sg_many,
 )
 from .errors import InputError
 
@@ -95,23 +96,23 @@ def find_blocker(algebra: FiniteAlgebra) -> Optional[Blocker]:
 
     Among incomparable inclusion-minimal choices of Sg(c, d) the smallest d
     wins, making runs reproducible; the for-loop returns the blocker found
-    at the smallest c.  Each Sg(c, d) is computed once per start element.
+    at the smallest c.  Each Sg({c, d}) is computed once per unordered
+    pair, in one `sg_many` batch per start element.
     """
     _require_idempotent(algebra)
     n = algebra.size
     universe = full_mask(n)
+    pair_sg: dict[int, int] = {}  # seed mask {c, d} -> Sg({c, d})
     for c in range(n):
-        pair_sg = {d: sg(algebra, (1 << c) | (1 << d)) for d in range(n) if d != c}
+        seed = {d: (1 << c) | (1 << d) for d in range(n) if d != c}
+        todo = [s for s in seed.values() if s not in pair_sg]
+        pair_sg.update(zip(todo, sg_many(algebra, todo)))
         s_mask = 1 << c
         while s_mask != universe:
-            candidates = [(d, pair_sg[d]) for d in range(n) if not s_mask >> d & 1]
-            minimal: Optional[tuple[int, int]] = None
-            for d, gen in candidates:
-                if any(g != gen and g & ~gen == 0 for _, g in candidates):
-                    continue
-                if minimal is None:
-                    minimal = (d, gen)
-            d, d_mask = minimal
+            gens = [pair_sg[seed[d]] for d in range(n) if not s_mask >> d & 1]
+            # the inclusion-minimal Sg({c, d}) of the smallest d
+            d_mask = next(gen for gen in gens
+                          if not any(g != gen and g & ~gen == 0 for g in gens))
             c_mask = s_mask & d_mask
             if verify_blocker(algebra, c_mask, d_mask):
                 return Blocker(c_mask, d_mask)

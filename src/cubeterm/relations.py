@@ -210,13 +210,6 @@ def mix_family(a: Sequence[int], b: Sequence[int],
             yield base[None].copy()
 
 
-def mix_family_size(a: Sequence[int], b: Sequence[int]) -> int:
-    """Number of distinct tuples mix_family will yield."""
-    k = len(a)
-    d = sum(1 for i in range(k) if a[i] != b[i])
-    return (1 << d) - 1 + (1 if d < k else 0)
-
-
 # ---------------------------------------------------------------------------
 # compatibility and elusiveness
 # ---------------------------------------------------------------------------

@@ -64,11 +64,11 @@ class Budget:
     """Resource caps for one closure run.
 
     max_members caps how many tuples the closure may hold; max_seconds is
-    wall-clock.  Hitting either stops the run with truncated=True rather
-    than returning a wrong answer.  dense_limit is the largest code space
-    kept as a dense bool array, one byte per code; cell_budget caps the
-    cells of one kernel chunk, the unit in which candidates are evaluated
-    and absorbed.
+    wall-clock.  Hitting either, or running out of memory, stops the run
+    with truncated=True rather than returning a wrong answer.  dense_limit
+    is the largest code space kept as a dense bool array, one byte per
+    code; cell_budget caps the cells of one kernel chunk, the unit in which
+    candidates are evaluated and absorbed.
     """
 
     max_members: int = 10 ** 8
@@ -132,10 +132,7 @@ class _Engine:
             self.store = np.empty(cap, dtype=self.code_dtype)
         else:
             self.store = np.empty((cap, arity), dtype=self.dtype)
-        if self.key == "dense":
-            self.known_bits: Optional[np.ndarray] = np.zeros(space, dtype=bool)
-        else:
-            self.known_set: set = set()
+        self.known_set: set = set()  # keys when not dense; `run` makes the bitset
 
         self.target_key = None
         if target is not None:
@@ -266,29 +263,34 @@ class _Engine:
     # -- main loop -----------------------------------------------------------
 
     def run(self, gens: Iterable) -> None:
+        """Close the generators; a MemoryError ends the run as truncated."""
         chunks = _row_blocks(gens, self.budget.generator_chunk)
         f_lo = 0
         exhausted = False
         depth = 0
-        while True:
-            if not exhausted and not self.found:
-                chunk = next(chunks, None)
-                if chunk is not None:
-                    self.insert_rows(chunk)
-                else:
-                    exhausted = True
-            if self.found or self._over_budget():
-                return
-            f_hi = self.count
-            if f_hi == f_lo:
-                if exhausted:
+        try:
+            self.known_bits = np.zeros(self.n ** self.K, bool) if self.key == "dense" else None
+            while True:
+                if not exhausted and not self.found:
+                    chunk = next(chunks, None)
+                    if chunk is not None:
+                        self.insert_rows(chunk)
+                    else:
+                        exhausted = True
+                if self.found or self._over_budget():
                     return
-                continue
-            depth += 1
-            self.close_round(f_lo, f_hi, depth)
-            f_lo = f_hi
-            if self.found or self.truncated:
-                return
+                f_hi = self.count
+                if f_hi == f_lo:
+                    if exhausted:
+                        return
+                    continue
+                depth += 1
+                self.close_round(f_lo, f_hi, depth)
+                f_lo = f_hi
+                if self.found or self.truncated:
+                    return
+        except MemoryError:
+            self.truncated = True
 
     # -- output ----------------------------------------------------------------
 

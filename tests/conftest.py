@@ -1,7 +1,10 @@
 """Shared helpers: seeded random algebras and brute-force mini-oracles."""
 
+import math
 import random
 from itertools import product
+
+import numpy as np
 
 from cubeterm import FiniteAlgebra, OperationTable
 
@@ -82,3 +85,32 @@ def brute_force_is_blocker(algebra: FiniteAlgebra, c: set[int], d: set[int]) -> 
         if not absorbing:
             return False
     return True
+
+
+class StarvedNumpy:
+    """numpy whose `zeros` and `empty` raise MemoryError above `limit` cells.
+
+    Set as a module's `np` (monkeypatch) to make that module's large
+    allocations fail the way they do when memory runs out.
+    """
+
+    def __init__(self, limit: int):
+        self.limit = limit
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def _alloc(self, fn):
+        def alloc(shape, *args, **kwargs):
+            if math.prod(np.atleast_1d(shape).tolist()) > self.limit:
+                raise MemoryError(f"no room for an array of shape {shape}")
+            return fn(shape, *args, **kwargs)
+        return alloc
+
+    @property
+    def zeros(self):
+        return self._alloc(np.zeros)
+
+    @property
+    def empty(self):
+        return self._alloc(np.empty)

@@ -1,7 +1,11 @@
 import random
 import signal
+from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_force_closure, random_idempotent_algebra
 from cubeterm import (
@@ -17,8 +21,10 @@ from cubeterm import (
     mask_elements,
     mask_of,
     sg,
+    sg_many,
     validate,
 )
+from cubeterm.algebra import _ragged_product
 
 MEET = OperationTable("meet", 2, (0, 0, 0, 1))
 
@@ -101,6 +107,59 @@ def test_sg_matches_brute_force_and_properties():
         # monotone
         bigger = seed | {rng.randrange(n)}
         assert sg(alg, seed) & ~sg(alg, bigger) == 0
+
+
+@st.composite
+def algebras_and_seed_batches(draw):
+    """An algebra with 1 to 8 elements and one or two operations of arity
+    1 to 3 (tables from a drawn Random), plus a batch of seed masks mixing
+    empty, singleton, full and arbitrary seeds, with repeats."""
+    n = draw(st.integers(1, 8))
+    rng = draw(st.randoms(use_true_random=False))
+    ops = tuple(OperationTable(f"f{i}", m, tuple(rng.randrange(n) for _ in range(n ** m)))
+                for i, m in enumerate(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))))
+    full = (1 << n) - 1
+    seed = st.one_of(st.just(0), st.just(full), st.integers(0, n - 1).map(lambda e: 1 << e),
+                     st.integers(0, full))
+    seeds = draw(st.lists(seed, max_size=12))
+    return FiniteAlgebra(n, ops), seeds + seeds[:2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(algebras_and_seed_batches())
+def test_sg_many_matches_brute_force(case):
+    alg, seeds = case
+    closed = sg_many(alg, seeds)
+    assert len(closed) == len(seeds)
+    for seed, mask in zip(seeds, closed):
+        assert set(mask_elements(mask)) == brute_force_closure(alg, set(mask_elements(seed)))
+        assert sg(alg, seed) == sg_many(alg, [seed])[0] == mask
+
+
+def test_sg_many_edge_cases():
+    alg = fixture("lattice2")
+    assert sg_many(alg, []) == []
+    assert sg_many(FiniteAlgebra(3, ()), [0, 5, 5, 7]) == [0, 5, 5, 7]
+    with pytest.raises(ValueError):
+        sg_many(alg, [1, 4])
+
+
+def test_ragged_product_chunks_cover_each_row_product_once():
+    # every row's own product, in any cut into chunks: rows of 0 to 6
+    # candidates per argument, chunks smaller than one row's product
+    rng = np.random.default_rng(5)
+    n = 6
+    op = random_idempotent_algebra(random.Random(5), n, [3]).compiled.ops[0]
+    stores = [rng.random((9, n)) < p for p in (0.3, 0.6, 0.9)]
+    stores[0][4] = False  # a row with an empty product
+    want = sorted((r, int(op.table[(a * n + b) * n + c]))
+                  for r in range(9)
+                  for a, b, c in product(*(np.flatnonzero(s[r]) for s in stores)))
+    for cells in (1, 7, 64, 1 << 16):
+        got = sorted((int(r), int(v))
+                     for rows, values in _ragged_product(op, stores, cells)
+                     for r, v in zip(rows, values))
+        assert got == want
 
 
 def test_enumerate_subuniverses_lattice():

@@ -1,4 +1,5 @@
 import random
+import signal
 from itertools import product
 
 import pytest
@@ -110,6 +111,40 @@ def test_search_and_algorithm_agree_on_random_sample():
         fast = find_blocker(alg)
         slow = exhaustive_blocker_search(alg)
         assert (fast is None) == (slow is None)
+
+
+def test_find_blocker_matches_exhaustive_search_and_table_oracle():
+    # 200 seeded idempotent algebras, n = 2..5, one or two operations of
+    # arity 1 to 3
+    rng = random.Random(59)
+    for _ in range(200):
+        n = rng.randint(2, 5)
+        alg = random_idempotent_algebra(
+            rng, n, [rng.randint(1, 3) for _ in range(rng.randint(1, 2))])
+        fast = find_blocker(alg)
+        assert (fast is None) == (exhaustive_blocker_search(alg) is None), alg
+        if fast is not None:
+            assert brute_force_is_blocker(
+                alg, set(mask_elements(fast.C)), set(mask_elements(fast.D))), alg
+
+
+def test_find_blocker_on_a_256_element_chain():
+    # min on a chain: every Sg({0, d}) is {0, d}; closing them one start
+    # element at a time is cheap, all pairs at once (n**2 rows) is not
+    n = 256
+    chain = FiniteAlgebra(n, (OperationTable(
+        "min", 2, tuple(min(x, y) for x in range(n) for y in range(n))),))
+
+    def hang(*_):
+        raise TimeoutError("find_blocker took more than 1 s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        assert find_blocker(chain) == Blocker(mask_of([0]), mask_of([0, 1]))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_all_idempotent_binary_two_element_tables():

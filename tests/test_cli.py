@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from cubeterm import decide_cube, fixture
+from conftest import StarvedNumpy
+from cubeterm import decide_cube, fixture, subpower
 from cubeterm.cli import run
 
 
@@ -73,6 +74,16 @@ def test_undecided_exit_code(capsys, algebra_file):
                            "--cap", "4")
     assert rc == 1
     assert result["payload"]["verdict"] == "undecided"
+
+
+def test_out_of_memory_is_undecided(capsys, algebra_file, monkeypatch):
+    # general deepening to the full bound: once the engine cannot allocate,
+    # the run ends in an undecided envelope, not a traceback
+    monkeypatch.setattr(subpower, "np", StarvedNumpy(1 << 18))
+    rc, result, err = invoke(capsys, "decide-cube", algebra_file("constant3"))
+    assert rc == 1
+    assert result["payload"]["verdict"] == "undecided"
+    assert "Traceback" not in err
 
 
 def test_universe_above_256_elements(capsys, tmp_path):

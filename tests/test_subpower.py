@@ -2,17 +2,20 @@ import random
 
 import pytest
 
-from conftest import brute_force_subpower, random_idempotent_algebra
+from conftest import StarvedNumpy, brute_force_subpower, random_idempotent_algebra
 from cubeterm import (
+    UNDECIDED,
     Budget,
     FiniteAlgebra,
     InputError,
     OperationTable,
+    decide_cube_general,
     default_budget,
     fixture,
     generate,
     membership,
     mix_family,
+    subpower,
 )
 
 
@@ -97,6 +100,27 @@ def test_explicit_truncation():
     budget = Budget(max_members=2)
     _, ans = generate(fixture("lattice2"), [(0, 1), (1, 0)], budget=budget)
     assert ans.truncated and not ans.found
+
+
+def test_out_of_memory_truncates(monkeypatch):
+    # the dense bitset over 2**12 codes, then the member store's growth
+    # past 1024 codes, cannot be allocated: both end the run as truncated
+    gens = list(mix_family((0,) * 12, (1,) * 12))
+    monkeypatch.setattr(subpower, "np", StarvedNumpy(2000))
+    rel, ans = generate(fixture("lattice2"), gens)
+    assert ans.truncated and len(rel) == 0
+    rel, ans = generate(fixture("lattice2"), gens,
+                        budget=Budget(dense_limit=1, generator_chunk=512))
+    assert ans.truncated and 512 <= len(rel) <= 1024
+
+
+def test_out_of_memory_leaves_general_decision_undecided(monkeypatch):
+    monkeypatch.setattr(subpower, "np", StarvedNumpy(1 << 16))
+    dec = decide_cube_general(fixture("constant3"))
+    assert dec.verdict == UNDECIDED and dec.dimension_bound == 8  # bitset 3**11
+    monkeypatch.setattr(subpower, "np", StarvedNumpy(1 << 18))
+    dec = decide_cube_general(fixture("constant3"))
+    assert dec.verdict == UNDECIDED and dec.dimension_bound == 16  # store growth
 
 
 def test_found_before_truncation_wins():
