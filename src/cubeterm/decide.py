@@ -193,6 +193,8 @@ def check_cube_dim(algebra: FiniteAlgebra, d: int, *,
     """
     if d < 1:
         raise ValueError("cube dimension must be at least 1")
+    if method not in ("auto", "pointwise", "stacked"):
+        raise ValueError(f"unknown method {method!r}")
     if algebra.size == 1:
         return True
     budget = budget or default_budget()
@@ -202,8 +204,6 @@ def check_cube_dim(algebra: FiniteAlgebra, d: int, *,
         if not is_idempotent(algebra):
             raise ValueError("the pointwise check needs an idempotent algebra")
         return _check_cube_pointwise(algebra, d, budget)
-    if method != "stacked":
-        raise ValueError(f"unknown method {method!r}")
     return _stacked_query(algebra, d, _cube_selections(d), budget, f"cube dimension {d}")
 
 

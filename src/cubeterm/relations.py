@@ -2,8 +2,11 @@
 cube-term checks.
 
 A k-tuple over a universe of size n has a canonical integer code, big-endian
-like operation tables: code(t) = t[0]*n**(k-1) + ... + t[k-1].  A relation
-holds its members as one row array in the element dtype, sorted by code.
+like operation tables: code(t) = t[0]*n**(k-1) + ... + t[k-1].  Rows are
+sorted and looked up by one key that orders like the code (`_keys`): the
+code itself while it fits int64, the big-endian digits beyond.  A relation
+holds its members as one row array in the element dtype, sorted by code;
+the closure engine of `subpower` keys its members the same way.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from numbers import Integral
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -36,14 +40,45 @@ def code_tuple(code: int, arity: int, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One bytes key per row of a digit array.
+#: Largest code space n**K whose tuple codes serve as int64 keys.
+INT64_CODES = 1 << 62
 
-    The digits are laid out big-endian, so the keys compare like the
+
+def _keys(rows: np.ndarray, n: int) -> np.ndarray:
+    """One key per row of a digit array over {0..n-1}, ordered like the
     rows' tuple codes.
+
+    The key is the int64 tuple code while n**K <= 2**62, and beyond that
+    the row's digits in the element dtype, big-endian, as one void scalar.
     """
-    rows = np.ascontiguousarray(rows, dtype=rows.dtype.newbyteorder(">"))
+    if n ** rows.shape[1] <= INT64_CODES:
+        return rows.astype(np.int64) @ n ** np.arange(rows.shape[1] - 1, -1, -1)
+    rows = np.ascontiguousarray(rows, dtype=element_dtype(n).newbyteorder(">"))
     return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+
+
+def _in_sorted(sorted_keys: np.ndarray, probe: np.ndarray) -> np.ndarray:
+    """Which of the probe keys occur in an increasing key array."""
+    if not len(sorted_keys):
+        return np.zeros(len(probe), dtype=bool)
+    at = np.searchsorted(sorted_keys, probe).clip(max=len(sorted_keys) - 1)
+    return sorted_keys[at] == probe
+
+
+def _digit_rows(rows, arity: int, n: int) -> np.ndarray:
+    """rows as a 2-D array in the element dtype.
+
+    ValueError unless every row has `arity` integer entries in 0..n-1;
+    an empty input is zero rows.
+    """
+    rows = np.asarray(rows)
+    if rows.size == 0:
+        rows = rows.reshape(0, arity)
+    if rows.ndim != 2 or rows.shape[1] != arity:
+        raise ValueError(f"rows must have {arity} entries")
+    if rows.size and (rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= n):
+        raise ValueError(f"tuple entries must be integers in 0..{n - 1}")
+    return rows.astype(element_dtype(n), copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -55,23 +90,16 @@ class Relation:
 
     Immutable once built.  `rows` holds the members as one duplicate-free
     2-D array in the element dtype, in increasing code order, which is
-    lexicographic order; membership is one lookup in the sorted row keys.
+    lexicographic order; membership is one lookup in their sorted keys.
     """
 
     def __init__(self, n: int, arity: int, rows=()):
         if n < 1 or arity < 1:
             raise ValueError("need n >= 1 and arity >= 1")
-        rows = np.asarray(rows)
-        if rows.size == 0:
-            rows = rows.reshape(0, arity)
-        if rows.ndim != 2 or rows.shape[1] != arity:
-            raise ValueError(f"members must be rows of {arity} entries")
-        if rows.size and (rows.min() < 0 or rows.max() >= n):
-            raise ValueError(f"tuple entry outside 0..{n - 1}")
         self.n = n
         self.arity = arity
-        rows = rows.astype(element_dtype(n))
-        self._keys, first = np.unique(_row_keys(rows), return_index=True)
+        rows = _digit_rows(rows, arity, n)
+        self._index, first = np.unique(_keys(rows, n), return_index=True)
         self.rows = rows[first]
         self.rows.flags.writeable = False
 
@@ -81,14 +109,11 @@ class Relation:
 
     def has_rows(self, rows: np.ndarray) -> bool:
         """True iff every row of a 2-D array over {0..n-1} is a member."""
-        if not len(self._keys):
-            return not len(rows)
-        probe = _row_keys(rows.astype(self.rows.dtype, copy=False))
-        at = np.minimum(np.searchsorted(self._keys, probe), len(self._keys) - 1)
-        return bool((self._keys[at] == probe).all())
+        return bool(_in_sorted(self._index, _keys(rows, self.n)).all())
 
     def __contains__(self, entries: Sequence[int]) -> bool:
-        if len(entries) != self.arity or not all(0 <= v < self.n for v in entries):
+        if len(entries) != self.arity or not all(
+                isinstance(v, Integral) and 0 <= v < self.n for v in entries):
             return False
         return self.has_rows(np.array([entries]))
 

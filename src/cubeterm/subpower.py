@@ -25,18 +25,18 @@ argument combinations at a time.  A symmetric binary operation is applied
 to unordered pairs only, which halves the work of the saturating
 two-element closures.
 
-One format decision, made from the code space n**K when a query starts,
-fixes how members are held and deduplicated:
-
-* ``dense``: n**K up to ``Budget.dense_limit``; a bool array over all
-  codes, one byte per code,
-* ``int``: n**K up to 2**62; a hash set of int64 codes,
-* ``bytes``: beyond that; a hash set of raw digit rows.
-
-With dense or int keys a two-element universe keeps its members as K-bit
-codes and evaluates the bitwise formulas on them, so no digit matrix is
-ever built; every other case keeps digit rows and looks values up in the
-tables.
+Members are deduplicated by their `relations._keys`, as in `Relation`:
+int64 tuple codes while n**K <= 2**62, big-endian bytes keys beyond.  The
+keys seen so far go in a dense bitset, one byte per code, while n**K is
+at most ``Budget.dense_limit`` and the keys are int64, and otherwise in
+sorted key runs: each chunk's fresh keys are appended as a run, merged
+with the previous run while that is at most twice as long (log-structured
+merging, after O'Neil et al., "The log-structured merge-tree", 1996).
+Either way fresh members are appended in first-occurrence order.  With
+int64 keys a two-element universe keeps its members as K-bit codes, which
+are their keys, and evaluates the bitwise formulas on them, so no digit
+matrix is ever built; every other case keeps digit rows and looks values
+up in the tables.
 """
 
 from __future__ import annotations
@@ -50,13 +50,12 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .algebra import KERNEL_CELLS, FiniteAlgebra, _evaluate, _frontier, _Op, _product, _radix
+from .algebra import KERNEL_CELLS, FiniteAlgebra, _evaluate, _frontier, _Op, _product
 from .errors import InputError
-from .relations import Relation, _row_keys, tuple_code
+from .relations import INT64_CODES, Relation, _digit_rows, _in_sorted, _keys
 
 #: Largest code space held as a dense bool array (2**26 codes = 64 MiB).
 DENSE_CODE_LIMIT = 1 << 26
-_INT64_CODE_LIMIT = 1 << 62
 
 
 @dataclass
@@ -66,8 +65,9 @@ class Budget:
     max_members caps how many tuples the closure may hold; max_seconds is
     wall-clock.  Hitting either, or running out of memory, stops the run
     with truncated=True rather than returning a wrong answer.  dense_limit
-    is the largest code space kept as a dense bool array, one byte per
-    code; cell_budget caps the cells of one kernel chunk, the unit in which
+    is the largest code space (up to 2**62) whose seen keys are kept as a
+    dense bool array, one byte per code; larger ones use sorted key runs.
+    cell_budget caps the cells of one kernel chunk, the unit in which
     candidates are evaluated and absorbed.
     """
 
@@ -118,31 +118,14 @@ class _Engine:
         self.budget = budget
         self.ops = compiled.ops
         self.dtype = compiled.dtype
-        space = n ** arity
-        # the one format decision: how members are keyed for dedup, and
-        # whether they are held as two-element bit codes or as digit rows
-        self.key = ("dense" if space <= budget.dense_limit
-                    else "int" if space <= _INT64_CODE_LIMIT else "bytes")
-        self.mask = (1 << arity) - 1 if n == 2 and self.key != "bytes" else None
-        self.code_dtype = np.int32 if space < (1 << 31) else np.int64
+        # members are K-bit codes on two elements while they fit int64, else rows
+        self.mask = (1 << arity) - 1 if n == 2 and n ** arity <= INT64_CODES else None
 
-        cap = 1024
         self.count = 0
-        if self.mask is not None:
-            self.store = np.empty(cap, dtype=self.code_dtype)
-        else:
-            self.store = np.empty((cap, arity), dtype=self.dtype)
-        self.known_set: set = set()  # keys when not dense; `run` makes the bitset
-
-        self.target_key = None
-        if target is not None:
-            if len(target) != arity:
-                raise ValueError("target arity does not match the generators")
-            if any(not 0 <= v < n for v in target):
-                raise ValueError("target entry outside the universe")
-            self.target_key = (_row_keys(np.asarray([target], dtype=self.dtype))[0]
-                               if self.key == "bytes" else tuple_code(target, n))
-
+        self.store = (np.empty(1024, np.int64) if self.mask is not None
+                      else np.empty((1024, arity), self.dtype))
+        self.runs: list[np.ndarray] = []  # sorted key runs; `run` may make a bitset
+        self.target_key = None if target is None else _keys(_digit_rows([target], arity, n), n)[0]
         self.found = False
         self.found_depth: Optional[int] = None
         self.truncated = False
@@ -173,59 +156,49 @@ class _Engine:
 
     # -- dedup + append ----------------------------------------------------
 
-    def _absorb_keys(self, keys: np.ndarray, rows: Optional[np.ndarray], depth: int) -> None:
-        """Add the candidates whose keys are new to the closure.
+    def absorb(self, cands: np.ndarray, depth: int) -> None:
+        """Add the new ones among candidate codes (bit mode) or rows.
 
-        Keys are codes, or bytes keys of rows when key == "bytes"; fresh
-        members are appended in the order of their first occurrence.
+        Candidates are deduplicated by their `_keys`, which in bit mode
+        are the codes themselves.  A key is new when the dense bitset lacks
+        it or no sorted run holds it; fresh members are appended in the
+        order of their first occurrence.
         """
-        if self.key == "dense":
-            seen = self.known_bits[keys]
-            if seen.all():
+        keys = cands if self.mask is not None else _keys(cands, self.n)
+        if self.known_bits is not None:
+            fresh = (~self.known_bits[keys]).nonzero()[0]
+            if not len(fresh):
                 return
-            fresh = ~seen
-            keys = keys[fresh]
-            if rows is not None:
-                rows = rows[fresh]
-            uniq, first = np.unique(keys, return_index=True)
-            order = np.argsort(first, kind="stable")
-            uniq = uniq[order]
+            uniq, first = np.unique(keys[fresh], return_index=True)
+            first = fresh[first]
             self.known_bits[uniq] = True
-            picked = first[order]
         else:
-            uniq_all, first_all = np.unique(keys, return_index=True)
-            order = np.argsort(first_all, kind="stable")
-            listed = uniq_all.tolist()
-            keep = [i for i in order.tolist() if listed[i] not in self.known_set]
-            if not keep:
+            uniq, first = np.unique(keys, return_index=True)
+            for run in self.runs:
+                new = ~_in_sorted(run, uniq)
+                uniq, first = uniq[new], first[new]
+            if not len(uniq):
                 return
-            uniq = uniq_all[keep]
-            self.known_set.update(listed[i] for i in keep)
-            picked = first_all[keep]
-        k = uniq.shape[0]
+            self._add_run(uniq)
+        picked = np.sort(first)
+        k = len(picked)
         self._reserve(k)
-        self.store[self.count: self.count + k] = uniq if rows is None else rows[picked]
+        self.store[self.count: self.count + k] = cands[picked]
         self.count += k
         if self.target_key is not None and not self.found and (uniq == self.target_key).any():
             self.found, self.found_depth = True, depth
 
-    def absorb(self, cands: np.ndarray, depth: int) -> None:
-        """Add the new ones among candidate codes (bit mode) or rows."""
-        if self.mask is not None:
-            self._absorb_keys(cands, None, depth)
-        elif self.key == "bytes":
-            self._absorb_keys(_row_keys(cands), cands, depth)
-        else:
-            self._absorb_keys(_radix(cands.T, self.n, self.code_dtype), cands, depth)
+    def _add_run(self, keys: np.ndarray) -> None:
+        """Append a sorted run of fresh keys, merging it into the previous
+        run while that one is at most twice as long."""
+        while self.runs and len(self.runs[-1]) <= 2 * len(keys):
+            keys = np.sort(np.concatenate((self.runs.pop(), keys)), kind="stable")
+        self.runs.append(keys)
 
     def insert_rows(self, rows: np.ndarray) -> None:
         """Add a block of generator rows (depth 0)."""
-        if rows.ndim != 2 or rows.shape[1] != self.K:
-            raise ValueError("generator arity does not match")
-        if int(rows.min()) < 0 or int(rows.max()) >= self.n:
-            raise ValueError("generator entry outside the universe")
-        rows = rows.astype(self.dtype, copy=False)
-        self.absorb(rows if self.mask is None else _radix(rows.T, 2, self.code_dtype), 0)
+        rows = _digit_rows(rows, self.K, self.n)
+        self.absorb(rows if self.mask is None else _keys(rows, 2), 0)
 
     # -- one frontier round --------------------------------------------------
 
@@ -269,7 +242,9 @@ class _Engine:
         exhausted = False
         depth = 0
         try:
-            self.known_bits = np.zeros(self.n ** self.K, bool) if self.key == "dense" else None
+            space = self.n ** self.K  # the bitset is indexed by int64 keys
+            dense = space <= min(self.budget.dense_limit, INT64_CODES)
+            self.known_bits = np.zeros(space, bool) if dense else None
             while True:
                 if not exhausted and not self.found:
                     chunk = next(chunks, None)

@@ -22,6 +22,45 @@ def random_idempotent_algebra(rng: random.Random, n: int,
     return FiniteAlgebra(n, tuple(ops))
 
 
+def random_algebra(rng: random.Random, n: int, arities: list[int]) -> FiniteAlgebra:
+    """Random operation tables; the binary ones are made symmetric, so the
+    closure engine's unordered-pair path runs too."""
+    ops = []
+    for i, m in enumerate(arities):
+        table = [rng.randrange(n) for _ in range(n ** m)]
+        if m == 2:
+            table = [table[min(x, y) * n + max(x, y)] for x in range(n) for y in range(n)]
+        ops.append(OperationTable(f"f{i}", m, tuple(table)))
+    return FiniteAlgebra(n, tuple(ops))
+
+
+def check_keys_like_codes(rng: random.Random, n: int, k: int) -> None:
+    """`relations._keys` orders rows of width k like their tuple codes (and
+    is the code while n**k <= 2**62), and `Relation` membership agrees."""
+    from cubeterm import Relation, tuple_code
+    from cubeterm.algebra import element_dtype
+    from cubeterm.relations import _keys
+
+    rows = [tuple(rng.randrange(n) for _ in range(k)) for _ in range(40)]
+    rows += [(0,) * k, (n - 1,) * k, (0,) * (k - 1) + (1,), (1,) + (0,) * (k - 1),
+             (n - 1,) * (k - 1) + (n - 2,)]
+    codes = [tuple_code(t, n) for t in rows]
+    keys = _keys(np.array(rows, dtype=element_dtype(n)), n)
+    if n ** k <= 1 << 62:
+        assert keys.dtype == np.int64 and keys.tolist() == codes
+    else:
+        assert keys.dtype.kind == "V"
+    assert [codes[i] for i in np.argsort(keys, kind="stable")] == sorted(codes)
+
+    members = set(rows[::2])
+    others = set(rows[1::2]) - members
+    rel = Relation(n, k, np.array(rows[::2], dtype=np.int64))
+    assert list(rel) == sorted(members, key=lambda t: tuple_code(t, n))
+    assert all(t in rel for t in members) and not any(t in rel for t in others)
+    assert rel.has_rows(np.array(sorted(members), dtype=element_dtype(n)))
+    assert not any(rel.has_rows(np.array([t], dtype=element_dtype(n))) for t in others)
+
+
 def brute_force_closure(algebra: FiniteAlgebra, seed: set[int]) -> set[int]:
     """Reference implementation of subuniverse generation: iterate to a fixed point."""
     current = set(seed)

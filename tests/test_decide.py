@@ -106,6 +106,8 @@ def test_cube_dim_input_validation():
         check_cube_dim(fixture("nand2"), 2, method="pointwise")
     with pytest.raises(ValueError):
         check_cube_dim(fixture("lattice2"), 2, method="bogus")
+    with pytest.raises(ValueError):
+        check_cube_dim(FiniteAlgebra(1, ()), 2, method="bogus")
 
 
 def test_edge_equals_cube_on_fixtures():

@@ -4,7 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import brute_force_subpower, random_idempotent_algebra
+from conftest import brute_force_subpower, check_keys_like_codes, random_idempotent_algebra
 from cubeterm import (
     BudgetExceededError,
     ChippedCubeSpec,
@@ -315,3 +315,6 @@ def test_relation_above_256_elements_in_code_order():
     assert list(rel) == ordered
     assert rel.to_json() == {"arity": 2, "tuples": [list(t) for t in ordered]}
     assert all(t in rel for t in tuples) and (299, 298) not in rel
+    # uint16 rows on both sides of n**K = 2**62 (300**7 < 2**62 < 300**8)
+    for k in (7, 8):
+        check_keys_like_codes(rng, 300, k)

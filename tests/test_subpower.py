@@ -1,14 +1,22 @@
 import random
 
+import numpy as np
 import pytest
 
-from conftest import StarvedNumpy, brute_force_subpower, random_idempotent_algebra
+from conftest import (
+    StarvedNumpy,
+    brute_force_subpower,
+    check_keys_like_codes,
+    random_algebra,
+    random_idempotent_algebra,
+)
 from cubeterm import (
     UNDECIDED,
     Budget,
     FiniteAlgebra,
     InputError,
     OperationTable,
+    Relation,
     decide_cube_general,
     default_budget,
     fixture,
@@ -130,20 +138,75 @@ def test_found_before_truncation_wins():
     assert ans.found and not ans.truncated
 
 
-def test_backends_agree():
-    alg = fixture("lattice2")
-    gens = [(0, 1, 0, 1), (1, 0, 0, 1), (1, 1, 0, 0)]
-    dense, _ = generate(alg, gens)
-    sparse, _ = generate(alg, gens, budget=Budget(dense_limit=1))
-    assert set(dense) == set(sparse)
+def engine_run(alg, gens, k, target=None, budget=None):
+    """The closure engine's members in the order it found them, and its answer."""
+    eng = subpower._Engine(alg, k, target, budget or Budget())
+    eng.run(iter(gens))
+    return eng, eng.rows().tolist(), eng.answer()
 
-    # digit backend (n = 3) against its sparse variant
-    alg3 = FiniteAlgebra(3, (OperationTable(
-        "addcap", 2, tuple(min(x + y, 2) for x in range(3) for y in range(3))),))
-    g3 = [(0, 1, 2), (2, 0, 1)]
-    d3, _ = generate(alg3, g3)
-    s3, _ = generate(alg3, g3, budget=Budget(dense_limit=1))
-    assert set(d3) == set(s3)
+
+def test_backends_agree():
+    # the dense bitset and the sorted key runs hold the same members in the
+    # same order, with the same answers; tiny cell budgets cut each round
+    # into many chunks, so the runs merge many times
+    rng = random.Random(29)
+    for _ in range(30):
+        n = rng.randint(2, 4)
+        k = rng.randint(2, {2: 7, 3: 4, 4: 3}[n])
+        alg = random_algebra(rng, n, rng.choice([[2], [1, 2], [2, 2]]))
+        gens = [tuple(rng.randrange(n) for _ in range(k)) for _ in range(rng.randint(2, 4))]
+        target = tuple(rng.randrange(n) for _ in range(k))
+        cells = rng.choice([16, 64, 512])
+        for tgt, cap in ((None, 10 ** 8), (target, 10 ** 8), (None, n ** k // 3)):
+            _, dense_rows, dense_ans = engine_run(
+                alg, gens, k, tgt, Budget(cell_budget=cells, max_members=cap))
+            eng, run_rows, run_ans = engine_run(
+                alg, gens, k, tgt, Budget(cell_budget=cells, max_members=cap, dense_limit=1))
+            assert run_rows == dense_rows and run_ans == dense_ans
+            # members come in first-occurrence order: the generators first
+            distinct = list(map(list, dict.fromkeys(gens)))
+            assert dense_rows[:len(distinct)] == distinct
+            # each run is more than twice as long as the next one
+            lengths = [len(run) for run in eng.runs]
+            assert sum(lengths) == len(run_rows)
+            assert all(a > 2 * b for a, b in zip(lengths, lengths[1:]))
+
+    # beyond int64 (2**65 and 3**42 codes): each generator written r
+    # times side by side closes to the same members, each written r times,
+    # keyed by bytes; no binary operation, so the rounds enumerate the same
+    # argument tuples at every row width
+    for n, k, r in ((2, 5, 13), (3, 3, 14)):
+        alg = random_algebra(rng, n, [1, 3])
+        gens = [tuple(rng.randrange(n) for _ in range(k)) for _ in range(3)]
+        _, dense_rows, dense_ans = engine_run(alg, gens, k, budget=Budget(cell_budget=4096))
+        wide, wide_rows, wide_ans = engine_run(alg, [g * r for g in gens], r * k,
+                                               budget=Budget(cell_budget=4096))
+        assert wide.runs[0].dtype.kind == "V" and len(dense_rows) > 8
+        assert wide_rows == [row * r for row in dense_rows] and wide_ans == dense_ans
+        for t in (dense_rows[-1], tuple(rng.randrange(n) for _ in range(k))):
+            narrow = membership(alg, gens, t)
+            wide_found = membership(alg, [g * r for g in gens], tuple(t) * r)
+            assert (narrow.found, narrow.witness_depth) == (wide_found.found,
+                                                            wide_found.witness_depth)
+
+
+def test_non_integer_rows_rejected():
+    # floats were once cut to integers: [[0.7]] was stored as (0,) and
+    # [[True, 2.9]] as (1, 2), in relations and closures alike
+    for alg, rows in ((fixture("lattice2"), [[0.7]]), (fixture("constant3"), [[True, 2.9]]),
+                      (fixture("lattice2"), np.array([[0.0, 1.0]]))):
+        n, k = alg.size, len(rows[0])
+        with pytest.raises(ValueError):
+            Relation(n, k, rows)
+        with pytest.raises(ValueError):
+            generate(alg, [tuple(r) for r in rows])
+        with pytest.raises(ValueError):
+            membership(alg, [np.asarray(rows)], (0,) * k)
+        with pytest.raises(ValueError):
+            membership(alg, [(0,) * k], tuple(rows[0]))
+    assert (0.5, 1) not in Relation(2, 2, [(0, 1)])
+    # empty input is still zero rows
+    assert len(Relation(2, 3, [])) == len(Relation(2, 3, np.zeros((0, 3)))) == 0
 
 
 def test_bytes_backend_for_huge_code_spaces():
@@ -155,6 +218,8 @@ def test_bytes_backend_for_huge_code_spaces():
     assert ans.closure_size == 3
     found = membership(alg, gens, (2,) * 45)
     assert found.found and found.witness_depth == 1
+    # a dense limit past the int64 codes still keys by bytes
+    assert membership(alg, gens, (2,) * 45, budget=Budget(dense_limit=1 << 80)) == found
 
 
 def test_empty_generator_family():
@@ -208,11 +273,18 @@ def test_nonidempotent_closure_with_prefix():
 
 def test_code_space_of_exactly_2_to_the_62():
     # two elements, row width 62: the codes still fit int64, so the target
-    # must be tracked by its code like any other
+    # must be tracked by its code like any other; width 63 keys by bytes
     neg2 = FiniteAlgebra(2, (OperationTable("neg", 1, (1, 0)),))
-    t = tuple(i % 2 for i in range(62))
-    ans = membership(neg2, [t], t)
-    assert ans.found and ans.witness_depth == 0
+    for k in (62, 63):
+        t = tuple(i % 2 for i in range(k))
+        ans = membership(neg2, [t], t)
+        assert ans.found and ans.witness_depth == 0
+        ans = membership(neg2, [t], tuple(1 - v for v in t))
+        assert ans.found and ans.witness_depth == 1
+    # keys order like tuple codes on both sides of n**K = 2**62
+    rng = random.Random(62)
+    for n, k in ((2, 62), (2, 63), (3, 39), (3, 40)):
+        check_keys_like_codes(rng, n, k)
 
 
 def test_blocks_and_tuples_give_identical_runs():
