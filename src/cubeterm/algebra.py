@@ -232,11 +232,8 @@ def _compile(algebra: FiniteAlgebra) -> CompiledAlgebra:
 
 
 def _radix(digits, n: int, dtype=np.int32) -> np.ndarray:
-    """Big-endian base-n value of a sequence of broadcastable digit arrays.
-
-    With argument arrays as digits this is the flat table index; with the
-    columns of a row array it is each row's tuple code.
-    """
+    """Big-endian base-n value of a sequence of broadcastable digit arrays:
+    with argument arrays as digits, the flat table index."""
     out = digits[0].astype(dtype)
     for d in digits[1:]:
         out = out * n + d
@@ -442,16 +439,20 @@ def is_subuniverse(algebra: FiniteAlgebra, candidate) -> bool:
                for values in _product(op, [elems] * op.arity))
 
 
-def enumerate_subuniverses(algebra: FiniteAlgebra, max_subsets: int = 1 << 20) -> list[int]:
+#: Most subsets `enumerate_subuniverses` scans.
+MAX_SUBSETS = 1 << 20
+
+
+def enumerate_subuniverses(algebra: FiniteAlgebra) -> list[int]:
     """All nonempty subuniverses, as bitmasks in increasing numeric order.
 
     Scans all 2**n subsets, so it refuses universes where that exceeds
-    the budget.
+    MAX_SUBSETS.
     """
     n = algebra.size
-    if (1 << n) > max_subsets:
+    if (1 << n) > MAX_SUBSETS:
         raise BudgetExceededError(
-            f"subset scan over 2^{n} subsets exceeds the budget of {max_subsets}"
+            f"subset scan over 2^{n} subsets exceeds the budget of {MAX_SUBSETS}"
         )
     out = []
     for mask in range(1, 1 << n):

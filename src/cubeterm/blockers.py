@@ -120,15 +120,14 @@ def find_blocker(algebra: FiniteAlgebra) -> Optional[Blocker]:
     return None
 
 
-def exhaustive_blocker_search(algebra: FiniteAlgebra,
-                              max_subsets: int = 1 << 20) -> Optional[Blocker]:
+def exhaustive_blocker_search(algebra: FiniteAlgebra) -> Optional[Blocker]:
     """Oracle: scan every pair of subuniverses C < D for a blocker.
 
     Exponential in the universe size; used to cross-validate find_blocker.
     Scan order is lexicographic by the (D, C) bitmask pair.
     """
     _require_idempotent(algebra)
-    subs = enumerate_subuniverses(algebra, max_subsets)
+    subs = enumerate_subuniverses(algebra)
     for d_mask in subs:
         for c_mask in subs:
             if c_mask != d_mask and c_mask & ~d_mask == 0:

@@ -250,6 +250,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+#: The commands that take an algebra file, by envelope command name.
+_ALGEBRA_COMMANDS = {
+    "decide-cube": _cmd_decide_cube,
+    "find-blocker": _cmd_find_blocker,
+    "check-cube-dim": lambda alg, args: _dim_check("cube", alg, args.dim),
+    "check-edge-dim": lambda alg, args: _dim_check("edge", alg, args.dim),
+    "check-nu": lambda alg, args: _dim_check("nu", alg, args.k),
+    "decide-nu": _cmd_decide_nu,
+    "min-cube-dim": _cmd_min_cube_dim,
+    "bounds": _cmd_bounds,
+    "oracle blockers": _cmd_oracle_blockers,
+    "oracle chipped-cubes": _cmd_oracle_chipped,
+    "oracle clone": _cmd_oracle_clone,
+}
+
+
 def run(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     try:
@@ -259,58 +275,28 @@ def run(argv: Optional[list[str]] = None) -> int:
     started = time.monotonic()
     pretty = args.pretty
     digest: Optional[str] = None
+    # the envelope's command name, on success and on truncation alike
+    command = f"oracle {args.oracle}" if args.command == "oracle" else args.command
 
     try:
-        if args.command == "gen":
+        if command == "gen":
             payload, summary = _cmd_gen(args)
-            _emit("gen", None, payload, started, pretty, summary)
-            return EXIT_OK
-        if args.command == "validate":
+        elif command == "validate":
             digest, payload, summary = _cmd_validate(args.file, args)
-            _emit("validate", digest, payload, started, pretty, summary)
-            return EXIT_OK
-
-        if args.command == "oracle":
+        else:
             alg, digest = _load_algebra(args.file)
-            handler = {
-                "blockers": _cmd_oracle_blockers,
-                "chipped-cubes": _cmd_oracle_chipped,
-                "clone": _cmd_oracle_clone,
-            }[args.oracle]
-            payload, summary = handler(alg, args)
-            _emit(f"oracle {args.oracle}", digest, payload, started, pretty, summary)
-            return EXIT_OK
-
-        alg, digest = _load_algebra(args.file)
-        if args.command == "decide-cube":
-            payload, summary = _cmd_decide_cube(alg, args)
-        elif args.command == "find-blocker":
-            payload, summary = _cmd_find_blocker(alg, args)
-        elif args.command == "check-cube-dim":
-            payload, summary = _dim_check("cube", alg, args.dim)
-        elif args.command == "check-edge-dim":
-            payload, summary = _dim_check("edge", alg, args.dim)
-        elif args.command == "check-nu":
-            payload, summary = _dim_check("nu", alg, args.k)
-        elif args.command == "decide-nu":
-            payload, summary = _cmd_decide_nu(alg, args)
-        elif args.command == "min-cube-dim":
-            payload, summary = _cmd_min_cube_dim(alg, args)
-        elif args.command == "bounds":
-            payload, summary = _cmd_bounds(alg, args)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise InputError(f"unknown command {args.command}")
-        _emit(args.command, digest, payload, started, pretty, summary)
+            payload, summary = _ALGEBRA_COMMANDS[command](alg, args)
+        _emit(command, digest, payload, started, pretty, summary)
         return EXIT_OK
 
     except _Undecided as und:
-        _emit(args.command, digest, und.payload, started, pretty, "undecided/truncated")
+        _emit(command, digest, und.payload, started, pretty, "undecided/truncated")
         return EXIT_UNDECIDED
     except (InputError, ValueError, KeyError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_INPUT
     except BudgetExceededError as exc:
-        _emit(args.command, digest, {"truncated": True, "reason": str(exc)},
+        _emit(command, digest, {"truncated": True, "reason": str(exc)},
               started, pretty)
         return EXIT_UNDECIDED
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -122,18 +122,6 @@ def idempotent_bound_applies(algebra: FiniteAlgebra) -> bool:
 # stacked instances
 # ---------------------------------------------------------------------------
 
-#: Rows per block of the streamed cube columns.
-_COLUMN_BLOCK = 4096
-
-
-def _cube_selections(d: int) -> Iterator[np.ndarray]:
-    """The nonempty coordinate sets of a d-cube as 0/1 rows (bit i of the
-    mask = coordinate i), in increasing mask order, streamed in blocks."""
-    for lo in range(1, 1 << d, _COLUMN_BLOCK):
-        masks = np.arange(lo, min(lo + _COLUMN_BLOCK, 1 << d))
-        yield (masks[:, None] >> np.arange(d) & 1).astype(bool)
-
-
 def _stacked_query(algebra: FiniteAlgebra, width: int, selections: Iterable[np.ndarray],
                    budget: Budget, what: str) -> bool:
     """Is the target column in the subpower generated by the stacked columns?
@@ -204,7 +192,9 @@ def check_cube_dim(algebra: FiniteAlgebra, d: int, *,
         if not is_idempotent(algebra):
             raise ValueError("the pointwise check needs an idempotent algebra")
         return _check_cube_pointwise(algebra, d, budget)
-    return _stacked_query(algebra, d, _cube_selections(d), budget, f"cube dimension {d}")
+    # the columns select each nonempty coordinate set, in increasing mask order
+    return _stacked_query(algebra, d, mix_family((0,) * d, (1,) * d), budget,
+                          f"cube dimension {d}")
 
 
 def check_edge_dim(algebra: FiniteAlgebra, d: int, *,

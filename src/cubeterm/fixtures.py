@@ -233,20 +233,25 @@ def constant3_elusive_relation(k: int) -> Relation:
 # clone-part oracle
 # ---------------------------------------------------------------------------
 
+#: Largest power arity n**k `clone_part` closes in.
+MAX_POWER_ARITY = 1 << 12
+
+
 def clone_part(algebra: FiniteAlgebra, k: int, *,
-               budget: Optional[Budget] = None,
-               max_power_arity: int = 1 << 12) -> Relation:
+               budget: Optional[Budget] = None) -> Relation:
     """The k-ary part of the clone, as a subpower of A**(n**k).
 
     Each member is the full value table of one k-ary term operation; the
     generators are the k projections.  The power arity n**k is the hard
-    limit here, hence the cap.
+    limit here, hence the cap MAX_POWER_ARITY; ValueError for k < 0.
     """
+    if k < 0:
+        raise ValueError(f"clone part arity must be at least 0, got {k}")
     n = algebra.size
     power = n ** k
-    if power > max_power_arity:
+    if power > MAX_POWER_ARITY:
         raise BudgetExceededError(
-            f"clone part needs power arity {power}, above the cap {max_power_arity}"
+            f"clone part needs power arity {power}, above the cap {MAX_POWER_ARITY}"
         )
     projections = []
     for j in range(k):
@@ -326,10 +331,11 @@ def scan_clone_for(kind: str, clone: Relation, *, dim: Optional[int] = None) -> 
 # exhaustive chipped-cube oracle
 # ---------------------------------------------------------------------------
 
-def exhaustive_chipped_cube_search(algebra: FiniteAlgebra, d: int, *,
-                                   max_cases: int = 10 ** 6,
-                                   max_subsets: int = 1 << 20
-                                   ) -> Optional[ChippedCubeSpec]:
+#: Most multisets of (C, D) pairs `exhaustive_chipped_cube_search` tries.
+MAX_CASES = 10 ** 6
+
+
+def exhaustive_chipped_cube_search(algebra: FiniteAlgebra, d: int) -> Optional[ChippedCubeSpec]:
     """Search all d-ary chipped cubes over subuniverse pairs for a compatible one.
 
     For idempotent algebras such a relation exists iff there is no cube
@@ -341,13 +347,13 @@ def exhaustive_chipped_cube_search(algebra: FiniteAlgebra, d: int, *,
         raise ValueError("the chipped-cube obstruction needs an idempotent algebra")
     if d < 1:
         raise ValueError("arity must be at least 1")
-    subs = enumerate_subuniverses(algebra, max_subsets)
+    subs = enumerate_subuniverses(algebra)
     pairs = [
         (c_mask, d_mask) for d_mask in subs for c_mask in subs
         if c_mask != d_mask and c_mask & ~d_mask == 0
     ]
     pairs.sort(key=lambda p: (p[1], p[0]))
-    if math.comb(len(pairs) + d - 1, d) > max_cases:
+    if math.comb(len(pairs) + d - 1, d) > MAX_CASES:
         raise BudgetExceededError("chipped-cube search space exceeds the budget")
     for combo in combinations_with_replacement(pairs, d):
         spec = ChippedCubeSpec(tuple((c_mask, d_mask, 1) for c_mask, d_mask in combo))

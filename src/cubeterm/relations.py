@@ -239,40 +239,47 @@ def mix_family(a: Sequence[int], b: Sequence[int],
 # compatibility and elusiveness
 # ---------------------------------------------------------------------------
 
-def is_compatible(algebra: FiniteAlgebra, relation: Relation,
-                  max_checks: int = 10 ** 7) -> bool:
+#: Most argument tuples `is_compatible` scans for one operation.
+MAX_CHECKS = 10 ** 7
+
+
+def is_compatible(algebra: FiniteAlgebra, relation: Relation) -> bool:
     """True iff every basic operation maps the relation into itself.
 
     Scans all |R|**m argument tuples per operation of arity m, stopping at
     the first chunk with a violation; refuses when the scan would exceed
-    the budget.
+    MAX_CHECKS.
     """
     if algebra.size != relation.n:
         raise ValueError("relation and algebra live on different universes")
     rows = relation.rows
     for op in algebra.compiled.ops:
-        if len(rows) ** op.arity > max_checks:
+        if len(rows) ** op.arity > MAX_CHECKS:
             raise BudgetExceededError(
                 f"compatibility scan |R|^{op.arity} = {len(rows) ** op.arity} "
-                f"exceeds budget {max_checks}"
+                f"exceeds budget {MAX_CHECKS}"
             )
         if not all(relation.has_rows(values) for values in _product(op, [rows] * op.arity)):
             return False
     return True
 
 
-def is_elusive_witness(relation: Relation, a: Sequence[int], b: Sequence[int],
-                       max_family: int = 1 << 22) -> bool:
+#: Largest overwrite family 2**k `is_elusive_witness` checks.
+MAX_FAMILY = 1 << 22
+
+
+def is_elusive_witness(relation: Relation, a: Sequence[int], b: Sequence[int]) -> bool:
     """True iff (a, b) witnesses that the relation is elusive.
 
     That means every proper overwrite mix(a, b, I), I nonempty, lies in the
-    relation while a itself does not.
+    relation while a itself does not.  Refuses arities k with 2**k above
+    MAX_FAMILY.
     """
     k = relation.arity
     if len(a) != k or len(b) != k:
         raise ValueError("witness tuples must match the relation arity")
-    if (1 << k) > max_family:
-        raise BudgetExceededError(f"2^{k} overwrite family exceeds budget {max_family}")
+    if (1 << k) > MAX_FAMILY:
+        raise BudgetExceededError(f"2^{k} overwrite family exceeds budget {MAX_FAMILY}")
     if any(not 0 <= v < relation.n for v in (*a, *b)):
         raise ValueError("witness entry outside the universe")
     if a in relation:
@@ -327,9 +334,13 @@ class ChippedCubeSpec:
         return cls(tuple(blocks))
 
 
-def chipped_cube(spec: ChippedCubeSpec, n: int,
-                 max_tuples: int = 10 ** 7) -> Relation:
-    """Materialize a chipped cube as a relation over {0..n-1}."""
+#: Largest product `chipped_cube` materializes.
+MAX_TUPLES = 10 ** 7
+
+
+def chipped_cube(spec: ChippedCubeSpec, n: int) -> Relation:
+    """Materialize a chipped cube as a relation over {0..n-1}; refuses
+    products of more than MAX_TUPLES tuples."""
     domains: list[list[int]] = []
     corner: list[set[int]] = []
     for c_mask, d_mask, mult in spec.blocks:
@@ -343,8 +354,8 @@ def chipped_cube(spec: ChippedCubeSpec, n: int,
     total = 1
     for dom in domains:
         total *= len(dom)
-    if total > max_tuples:
-        raise BudgetExceededError(f"chipped cube of {total} tuples exceeds budget {max_tuples}")
+    if total > MAX_TUPLES:
+        raise BudgetExceededError(f"chipped cube of {total} tuples exceeds budget {MAX_TUPLES}")
     tuples = [
         t for t in product(*domains)
         if not all(v in corner[i] for i, v in enumerate(t))

@@ -12,8 +12,8 @@ Generators are folded in chunk by chunk between rounds, which lets a
 membership query succeed long before a large generator family (2**d - 1
 tuples for the cube checks) has even been enumerated.  They arrive as a
 stream of 2-D row blocks (`relations.mix_family`) or of single tuples,
-and are re-cut into chunks of exactly ``Budget.generator_chunk`` rows, so
-the rounds do not depend on how the stream was blocked.
+and are re-cut into chunks of exactly `GENERATOR_CHUNK` rows, so the
+rounds do not depend on how the stream was blocked.
 
 Operations come from the algebra's compiled form (`FiniteAlgebra.compiled`,
 built once per algebra and shared by every query): numpy tables in the
@@ -21,14 +21,14 @@ element dtype, projections and duplicate operations dropped, a flag for
 symmetric binary operations and, on two-element universes, each
 operation's bitwise formula.  Every candidate member is produced by the
 evaluation kernel of `algebra` (`_product` over `_evaluate`), one chunk of
-argument combinations at a time.  A symmetric binary operation is applied
-to unordered pairs only, which halves the work of the saturating
-two-element closures.
+`KERNEL_CELLS` cells of argument combinations at a time.  A symmetric
+binary operation is applied to unordered pairs only, which halves the work
+of the saturating two-element closures.
 
 Members are deduplicated by their `relations._keys`, as in `Relation`:
 int64 tuple codes while n**K <= 2**62, big-endian bytes keys beyond.  The
 keys seen so far go in a dense bitset, one byte per code, while n**K is
-at most ``Budget.dense_limit`` and the keys are int64, and otherwise in
+at most `Budget.dense_limit` and the keys are int64, and otherwise in
 sorted key runs: each chunk's fresh keys are appended as a run, merged
 with the previous run while that is at most twice as long (log-structured
 merging, after O'Neil et al., "The log-structured merge-tree", 1996).
@@ -57,25 +57,26 @@ from .relations import INT64_CODES, Relation, _digit_rows, _in_sorted, _keys
 #: Largest code space held as a dense bool array (2**26 codes = 64 MiB).
 DENSE_CODE_LIMIT = 1 << 26
 
+#: Generator rows folded into the closure between two rounds.
+GENERATOR_CHUNK = 4096
+
 
 @dataclass
 class Budget:
-    """Resource caps for one closure run.
+    """The run caps of one closure run.
 
     max_members caps how many tuples the closure may hold; max_seconds is
     wall-clock.  Hitting either, or running out of memory, stops the run
     with truncated=True rather than returning a wrong answer.  dense_limit
     is the largest code space (up to 2**62) whose seen keys are kept as a
     dense bool array, one byte per code; larger ones use sorted key runs.
-    cell_budget caps the cells of one kernel chunk, the unit in which
-    candidates are evaluated and absorbed.
+    Chunk sizes are the module constants `KERNEL_CELLS` and
+    `GENERATOR_CHUNK`, not caps.
     """
 
     max_members: int = 10 ** 8
     max_seconds: Optional[float] = None
     dense_limit: int = DENSE_CODE_LIMIT
-    cell_budget: int = KERNEL_CELLS
-    generator_chunk: int = 4096
 
 
 def default_budget() -> Budget:
@@ -208,7 +209,7 @@ class _Engine:
             return self._pairs(op, f_lo, f_hi)
         store = self.store
         return chain.from_iterable(
-            _product(op, stores, self.mask, self.budget.cell_budget)
+            _product(op, stores, self.mask, KERNEL_CELLS)
             for stores in _frontier(op.arity, store[:f_lo], store[f_lo:f_hi], store[:f_hi]))
 
     def _pairs(self, op: _Op, f_lo: int, f_hi: int) -> Iterator[np.ndarray]:
@@ -218,7 +219,7 @@ class _Engine:
         The frontier goes in row blocks [a, b): a rectangle against all
         members before a, then the triangle j <= i inside the block.
         """
-        store, cells = self.store, self.budget.cell_budget
+        store, cells = self.store, KERNEL_CELLS
         side = max(1, math.isqrt(cells // (1 if self.mask is not None else self.K)))
         for a in range(f_lo, f_hi, side):
             b = min(f_hi, a + side)
@@ -237,7 +238,7 @@ class _Engine:
 
     def run(self, gens: Iterable) -> None:
         """Close the generators; a MemoryError ends the run as truncated."""
-        chunks = _row_blocks(gens, self.budget.generator_chunk)
+        chunks = _row_blocks(gens, GENERATOR_CHUNK)
         f_lo = 0
         exhausted = False
         depth = 0
@@ -300,8 +301,6 @@ def _row_blocks(items: Iterable, size: int) -> Iterator[np.ndarray]:
     The items are 2-D row blocks or single tuples, in any mix; runs of
     tuples are grouped into arrays, blocks are split or joined.
     """
-    if size < 1:
-        raise ValueError("generator_chunk must be at least 1")
     parts, held = [], 0
     for is_block, run in groupby(items, _is_block):
         for block in run if is_block else iter(lambda: list(islice(run, size)), []):
@@ -318,16 +317,20 @@ def _row_blocks(items: Iterable, size: int) -> Iterator[np.ndarray]:
 
 
 def _infer_arity(generators, target, arity):
-    if arity is not None:
-        return arity, generators
-    if target is not None:
-        return len(target), generators
-    it = iter(generators)
-    try:
-        first = next(it)
-    except StopIteration:
-        raise ValueError("cannot infer arity from an empty generator family") from None
-    return (first.shape[1] if _is_block(first) else len(first)), chain((first,), it)
+    """The row width, from `arity`, the target or the first generator, and
+    the generators; ValueError when it is below 1."""
+    if arity is None and target is not None:
+        arity = len(target)
+    if arity is None:
+        it = iter(generators)
+        first = next(it, None)
+        if first is None:
+            raise ValueError("cannot infer arity from an empty generator family")
+        arity = first.shape[1] if _is_block(first) else len(first)
+        generators = chain((first,), it)
+    if arity < 1:
+        raise ValueError(f"arity must be at least 1, got {arity}")
+    return arity, generators
 
 
 def generate(algebra: FiniteAlgebra, generators: Iterable, *,

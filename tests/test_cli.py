@@ -153,6 +153,22 @@ def test_oracles(capsys, algebra_file):
     assert [0, 0, 0, 1] in result["payload"]["tables"]
 
 
+def test_truncated_oracles_name_their_subcommand(capsys, algebra_file):
+    # a capped oracle run says which oracle it was, as a finished one does
+    big = algebra_file("no_ops21")  # 2**21 subsets: past the subset scan cap
+    for argv in (("blockers", big), ("chipped-cubes", big, "-d", "2"),
+                 ("clone", algebra_file("lattice2"), "-k", "13")):
+        rc, result, _ = invoke(capsys, "oracle", *argv)
+        assert rc == 1 and result["payload"]["truncated"] is True
+        assert result["command"] == f"oracle {argv[0]}"
+
+
+def test_negative_clone_arity_is_input_error(capsys, algebra_file):
+    rc, payload, err = invoke(capsys, "oracle", "clone", algebra_file("lattice2"), "-k", "-1")
+    assert rc == 2 and payload is None
+    assert "Traceback" not in err and "error" in json.loads(err)
+
+
 def test_force_general_flag(capsys, algebra_file):
     rc, result, _ = invoke(capsys, "decide-cube", algebra_file("lattice2"),
                            "--force-general")

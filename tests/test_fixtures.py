@@ -170,6 +170,13 @@ def test_clone_part_budget():
         clone_part(fixture("constant3"), 9)
 
 
+def test_clone_part_rejects_negative_arity():
+    # n ** -1 is a float: k < 0 once crashed with a TypeError
+    with pytest.raises(ValueError):
+        clone_part(fixture("lattice2"), -1)
+    assert len(clone_part(fixture("lattice2"), 0)) == 0
+
+
 def test_scan_clone_nu_and_maltsev():
     lat3 = clone_part(fixture("lattice2"), 3)
     assert scan_clone_for("nu", lat3)

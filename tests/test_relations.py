@@ -132,9 +132,11 @@ def test_is_compatible_full_power():
 
 
 def test_is_compatible_budget():
-    rel = Relation.from_tuples(2, 2, list(product((0, 1), repeat=2)))
-    with pytest.raises(BudgetExceededError):
-        is_compatible(fixture("lattice2"), rel, max_checks=3)
+    # {0,1}^12 has 4096 tuples: 4096**2 binary argument pairs exceed 10**7
+    rel = Relation(2, 12, list(product((0, 1), repeat=12)))
+    with pytest.raises(BudgetExceededError, match=r"^compatibility scan \|R\|\^2 = "
+                       r"16777216 exceeds budget 10000000$"):
+        is_compatible(fixture("lattice2"), rel)
 
 
 def test_is_compatible_matches_closure(tmp_path):
@@ -182,8 +184,10 @@ def test_elusive_witness_refusals():
     rel = Relation.from_tuples(2, 2, PAPER_BINARY)
     with pytest.raises(ValueError):
         is_elusive_witness(rel, (1, 2), (0, 1))
-    with pytest.raises(BudgetExceededError):
-        is_elusive_witness(rel, (1, 0), (0, 1), max_family=2)
+    wide = Relation(2, 23, [(0,) * 23])
+    with pytest.raises(BudgetExceededError,
+                       match=r"^2\^23 overwrite family exceeds budget 4194304$"):
+        is_elusive_witness(wide, (1,) * 23, (0,) * 23)
 
 
 def test_elusive_witness_constant3_relation():
@@ -230,9 +234,10 @@ def test_chipped_cube_square_minus_corner():
 
 
 def test_chipped_cube_budget():
-    spec = ChippedCubeSpec(((mask_of([0]), mask_of([0, 1]), 10),))
-    with pytest.raises(BudgetExceededError):
-        chipped_cube(spec, 2, max_tuples=100)
+    spec = ChippedCubeSpec(((mask_of([0]), mask_of([0, 1]), 24),))
+    with pytest.raises(BudgetExceededError,
+                       match=r"^chipped cube of 16777216 tuples exceeds budget 10000000$"):
+        chipped_cube(spec, 2)
 
 
 def test_blocker_powers_are_compatible():

@@ -81,8 +81,9 @@ def test_projection_of_closure_inside_closure_of_projections():
         assert {tuple(t[c] for c in coords) for t in closure} <= set(projected)
 
 
-def test_matches_brute_force_closure():
+def test_matches_brute_force_closure(monkeypatch):
     rng = random.Random(17)
+    default_cells = subpower.KERNEL_CELLS
     for _ in range(25):
         n = rng.randint(2, 3)
         alg = random_idempotent_algebra(rng, n, [rng.randint(1, 3)])
@@ -90,9 +91,10 @@ def test_matches_brute_force_closure():
         gens = [tuple(rng.randrange(n) for _ in range(k))
                 for _ in range(rng.randint(1, 4))]
         expected = brute_force_subpower(alg, gens)
-        # tiny cell budgets split every kernel block into many chunks
-        for budget in (None, Budget(cell_budget=1), Budget(cell_budget=5)):
-            closure, _ = generate(alg, gens, budget=budget)
+        # tiny kernel chunks split every kernel block into many chunks
+        for cells in (default_cells, 1, 5):
+            monkeypatch.setattr(subpower, "KERNEL_CELLS", cells)
+            closure, _ = generate(alg, gens)
             assert set(closure) == expected
 
 
@@ -117,8 +119,8 @@ def test_out_of_memory_truncates(monkeypatch):
     monkeypatch.setattr(subpower, "np", StarvedNumpy(2000))
     rel, ans = generate(fixture("lattice2"), gens)
     assert ans.truncated and len(rel) == 0
-    rel, ans = generate(fixture("lattice2"), gens,
-                        budget=Budget(dense_limit=1, generator_chunk=512))
+    monkeypatch.setattr(subpower, "GENERATOR_CHUNK", 512)
+    rel, ans = generate(fixture("lattice2"), gens, budget=Budget(dense_limit=1))
     assert ans.truncated and 512 <= len(rel) <= 1024
 
 
@@ -145,9 +147,9 @@ def engine_run(alg, gens, k, target=None, budget=None):
     return eng, eng.rows().tolist(), eng.answer()
 
 
-def test_backends_agree():
+def test_backends_agree(monkeypatch):
     # the dense bitset and the sorted key runs hold the same members in the
-    # same order, with the same answers; tiny cell budgets cut each round
+    # same order, with the same answers; tiny kernel chunks cut each round
     # into many chunks, so the runs merge many times
     rng = random.Random(29)
     for _ in range(30):
@@ -156,12 +158,11 @@ def test_backends_agree():
         alg = random_algebra(rng, n, rng.choice([[2], [1, 2], [2, 2]]))
         gens = [tuple(rng.randrange(n) for _ in range(k)) for _ in range(rng.randint(2, 4))]
         target = tuple(rng.randrange(n) for _ in range(k))
-        cells = rng.choice([16, 64, 512])
+        monkeypatch.setattr(subpower, "KERNEL_CELLS", rng.choice([16, 64, 512]))
         for tgt, cap in ((None, 10 ** 8), (target, 10 ** 8), (None, n ** k // 3)):
-            _, dense_rows, dense_ans = engine_run(
-                alg, gens, k, tgt, Budget(cell_budget=cells, max_members=cap))
+            _, dense_rows, dense_ans = engine_run(alg, gens, k, tgt, Budget(max_members=cap))
             eng, run_rows, run_ans = engine_run(
-                alg, gens, k, tgt, Budget(cell_budget=cells, max_members=cap, dense_limit=1))
+                alg, gens, k, tgt, Budget(max_members=cap, dense_limit=1))
             assert run_rows == dense_rows and run_ans == dense_ans
             # members come in first-occurrence order: the generators first
             distinct = list(map(list, dict.fromkeys(gens)))
@@ -175,12 +176,14 @@ def test_backends_agree():
     # times side by side closes to the same members, each written r times,
     # keyed by bytes; no binary operation, so the rounds enumerate the same
     # argument tuples at every row width
+    monkeypatch.undo()  # the membership queries below run at the default chunk size
     for n, k, r in ((2, 5, 13), (3, 3, 14)):
         alg = random_algebra(rng, n, [1, 3])
         gens = [tuple(rng.randrange(n) for _ in range(k)) for _ in range(3)]
-        _, dense_rows, dense_ans = engine_run(alg, gens, k, budget=Budget(cell_budget=4096))
-        wide, wide_rows, wide_ans = engine_run(alg, [g * r for g in gens], r * k,
-                                               budget=Budget(cell_budget=4096))
+        with monkeypatch.context() as patch:
+            patch.setattr(subpower, "KERNEL_CELLS", 4096)
+            _, dense_rows, dense_ans = engine_run(alg, gens, k)
+            wide, wide_rows, wide_ans = engine_run(alg, [g * r for g in gens], r * k)
         assert wide.runs[0].dtype.kind == "V" and len(dense_rows) > 8
         assert wide_rows == [row * r for row in dense_rows] and wide_ans == dense_ans
         for t in (dense_rows[-1], tuple(rng.randrange(n) for _ in range(k))):
@@ -236,6 +239,14 @@ def test_arity_mismatch_rejected():
         generate(fixture("lattice2"), [(0, 2)])
 
 
+def test_arity_below_one_rejected():
+    # empty tuples once crashed the engine with an IndexError
+    with pytest.raises(ValueError, match="arity must be at least 1"):
+        membership(fixture("lattice2"), [()], ())
+    with pytest.raises(ValueError, match="arity must be at least 1"):
+        generate(fixture("lattice2"), [()])
+
+
 def test_one_element_universe():
     alg = FiniteAlgebra(1, (OperationTable("f", 2, (0,)),))
     rel, ans = generate(alg, [(0, 0, 0)], target=(0, 0, 0))
@@ -287,7 +298,7 @@ def test_code_space_of_exactly_2_to_the_62():
         check_keys_like_codes(rng, n, k)
 
 
-def test_blocks_and_tuples_give_identical_runs():
+def test_blocks_and_tuples_give_identical_runs(monkeypatch):
     # the same generator rows fed as mix_family blocks or as plain tuples
     # must close in the same chunks: same answers, same partial relations
     rng = random.Random(23)
@@ -304,14 +315,14 @@ def test_blocks_and_tuples_give_identical_runs():
         rows = [tuple(int(v) for v in row) for block in mix_family(a, b, prefix)
                 for row in block]
         target = tuple(prefix) + tuple(a)
-        for budget in (Budget(generator_chunk=1), Budget(generator_chunk=3), Budget()):
-            assert (membership(alg, mix_family(a, b, prefix), target, budget=budget)
-                    == membership(alg, rows, target, budget=budget))
-            assert (generate(alg, mix_family(a, b, prefix), budget=budget)
-                    == generate(alg, rows, budget=budget))
+        for chunk in (1, 3, 4096):
+            monkeypatch.setattr(subpower, "GENERATOR_CHUNK", chunk)
+            assert (membership(alg, mix_family(a, b, prefix), target)
+                    == membership(alg, rows, target))
+            assert generate(alg, mix_family(a, b, prefix)) == generate(alg, rows)
 
 
-def test_generator_chunks_span_several_blocks():
+def test_generator_chunks_span_several_blocks(monkeypatch):
     # 2**13 - 1 masks on 13 differing coordinates, then a itself: the
     # family arrives as blocks of 4095, 4096 and 1 rows and is re-cut into
     # chunks that split and join those blocks
@@ -320,8 +331,5 @@ def test_generator_chunks_span_several_blocks():
     assert [len(block) for block in mix_family(a, b)] == [4095, 4096, 1]
     rows = [tuple(int(v) for v in row) for block in mix_family(a, b) for row in block]
     for chunk in (1000, 4095, 4097):
-        budget = Budget(generator_chunk=chunk)
-        assert (generate(alg, mix_family(a, b), target=a, budget=budget)
-                == generate(alg, rows, target=a, budget=budget))
-    with pytest.raises(ValueError):
-        membership(alg, rows, a, budget=Budget(generator_chunk=0))
+        monkeypatch.setattr(subpower, "GENERATOR_CHUNK", chunk)
+        assert generate(alg, mix_family(a, b), target=a) == generate(alg, rows, target=a)
