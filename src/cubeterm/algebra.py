@@ -47,6 +47,15 @@ def mask_of(elements: Iterable[int]) -> int:
     return m
 
 
+def mask_from_json(value, what: str) -> int:
+    """Bitmask of an element list read from JSON: a list of non-negative
+    integers, bools excluded; InputError naming `what` otherwise."""
+    if not isinstance(value, list) or not all(
+            isinstance(e, int) and not isinstance(e, bool) and e >= 0 for e in value):
+        raise InputError(f"{what}: not a list of non-negative integers")
+    return mask_of(value)
+
+
 def mask_elements(mask: int) -> list[int]:
     """Sorted list of elements in a bitmask."""
     if mask < 0:

@@ -24,7 +24,7 @@ from .algebra import (
     is_idempotent,
     is_subuniverse,
     mask_elements,
-    mask_of,
+    mask_from_json,
     sg,  # noqa: F401 - kept as blockers.sg for callers that wrap it by name
     sg_many,
 )
@@ -45,7 +45,7 @@ class Blocker:
     def from_json(cls, obj) -> "Blocker":
         if not isinstance(obj, dict) or "C" not in obj or "D" not in obj:
             raise InputError("blocker JSON must be an object with C and D lists")
-        return cls(mask_of(obj["C"]), mask_of(obj["D"]))
+        return cls(mask_from_json(obj["C"], "C"), mask_from_json(obj["D"], "D"))
 
 
 def _require_idempotent(algebra: FiniteAlgebra) -> None:

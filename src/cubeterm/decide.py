@@ -2,19 +2,28 @@
 
 Fixed-dimension checks reduce to one subpower membership query.  A d-cube
 term is a (2**d - 1)-ary term t with t(mix(a, b, I) : I nonempty) = a for
-all a, b in A**d.  That system of identities splits coordinatewise: it
-constrains t only through triples (i, alpha, beta) where i is a coordinate
-and (alpha, beta) the value pair at it.  Stacking one row per triple turns
-"some term satisfies every instance" into "the target column lies in the
-subpower generated by the stacked generator columns", decided by the
-closure engine.  Diagonal pairs (alpha, alpha) contribute the idempotence
-rows; they are constant across all columns, so one row per value suffices.
+all a, b in A**d; a d-edge term is the (d + 1)-ary term e asked for by the
+columns {0, 1}, {0}, {1}, ..., {d - 1} of the same system.  Such systems
+split coordinatewise: they constrain the term only through triples
+(i, alpha, beta) where i is a coordinate and (alpha, beta) the value pair
+at it.  Stacking one row per triple turns "some term satisfies every
+instance" into "the target column lies in the subpower generated by the
+stacked generator columns", decided by the closure engine.  Diagonal pairs
+(alpha, alpha) contribute the idempotence rows; they are constant across
+all columns, so one row per value suffices.
 
-Edge and near-unanimity terms use the same stack with their own column
-sets.  For idempotent algebras the cube check instead runs per value-pair
-pattern (the prefix trick is unnecessary there), which keeps each query
-inside A**d; instances with a repeated coordinate pattern are equivalent
-up to coordinate permutation and checked once.
+The cube check asks the d-edge question, so no fixed-dimension query has
+more than d + 1 generator columns.  The edge columns are among the cube
+columns, so an edge term is a cube term, and a variety with a d-cube term
+has a d-edge term (Berman, Idziak, Markovic, McKenzie, Valeriote and
+Willard, "Varieties with few subalgebras of powers", Trans. AMS 2010).
+For idempotent algebras the check runs per value-pair pattern (the prefix
+trick is unnecessary there), which keeps each query inside A**d, one
+pattern per multiset of pairs.  The verdict is still the cube verdict: if
+every pattern passes with the edge columns, it passes with the cube
+columns, which are closed under permuting coordinates, so a d-cube term
+exists, and its d-edge term passes every pattern in any order; only the
+first failing pattern may differ.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -122,26 +131,32 @@ def idempotent_bound_applies(algebra: FiniteAlgebra) -> bool:
 # stacked instances
 # ---------------------------------------------------------------------------
 
-def _stacked_query(algebra: FiniteAlgebra, width: int, selections: Iterable[np.ndarray],
+def _edge_rows(d: int) -> np.ndarray:
+    """The d + 1 edge columns as 0/1 rows over d coordinates: {0, 1}, then
+    each single coordinate."""
+    return np.vstack([np.arange(d) < 2, np.eye(d, dtype=bool)])
+
+
+def _stacked_query(algebra: FiniteAlgebra, selections: np.ndarray,
                    budget: Budget, what: str) -> bool:
     """Is the target column in the subpower generated by the stacked columns?
 
     Rows of the stack: one per (coordinate i, value pair (a, b)) with
     a != b, in lexicographic order, then one constant row per universe value
-    (the merged diagonal pairs).  Each row of a 0/1 selection block gives
+    (the merged diagonal pairs).  Each row of the 0/1 selection array gives
     one generator column: b at the rows of the selected coordinates, a
     elsewhere.  The target column is a at every varying row.
     """
     n = algebra.size
     pairs = np.array([(x, y) for x in range(n) for y in range(n) if x != y],
                      dtype=algebra.compiled.dtype)
+    width = selections.shape[1]
     a, b = np.tile(pairs, (width, 1)).T
     coord = np.repeat(np.arange(width), len(pairs))
     consts = np.arange(n, dtype=pairs.dtype)
-    columns = (np.hstack([np.where(bits[:, coord], b, a),
-                          np.broadcast_to(consts, (len(bits), n))])
-               for bits in selections)
-    ans = membership(algebra, columns, (*a.tolist(), *range(n)), budget=budget)
+    columns = np.hstack([np.where(selections[:, coord], b, a),
+                         np.broadcast_to(consts, (len(selections), n))])
+    ans = membership(algebra, [columns], (*a.tolist(), *range(n)), budget=budget)
     if ans.truncated and not ans.found:
         raise BudgetExceededError(f"{what}: closure budget exhausted before a decision")
     return ans.found
@@ -153,14 +168,15 @@ def _stacked_query(algebra: FiniteAlgebra, width: int, selections: Iterable[np.n
 
 def _check_cube_pointwise(algebra: FiniteAlgebra, d: int, budget: Budget) -> bool:
     # Every instance with a repeated coordinate value pair (a_i == b_i)
-    # passes trivially (some proper overwrite equals the target), so only
-    # patterns of genuinely differing pairs remain, one per multiset.
+    # passes trivially (the column selecting coordinate i alone equals the
+    # target), so only patterns of genuinely differing pairs remain, one per
+    # multiset.
     n = algebra.size
     pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    edge_rows = _edge_rows(d)
     for pattern in combinations_with_replacement(pairs, d):
-        a = tuple(p[0] for p in pattern)
-        b = tuple(p[1] for p in pattern)
-        ans = membership(algebra, mix_family(a, b), a, budget=budget)
+        a, b = np.array(pattern, dtype=algebra.compiled.dtype).T
+        ans = membership(algebra, [np.where(edge_rows, b, a)], a, budget=budget)
         if ans.truncated and not ans.found:
             raise BudgetExceededError(
                 f"cube dimension {d}: closure budget exhausted on pattern {pattern}"
@@ -173,6 +189,11 @@ def _check_cube_pointwise(algebra: FiniteAlgebra, d: int, budget: Budget) -> boo
 def check_cube_dim(algebra: FiniteAlgebra, d: int, *,
                    budget: Optional[Budget] = None, method: str = "auto") -> bool:
     """Does the algebra have a cube term of dimension d?
+
+    Asks for a d-edge term instead, which exists iff a d-cube term does
+    (see the module docstring), with d + 1 generator columns for 2**d - 1.
+    At d = 1 a cube term is a unary t with t(b) = a for all a, b: none
+    exists on two or more elements.
 
     method: "stacked" runs the single stacked membership query, "pointwise"
     (idempotent algebras only) one small query per value-pair pattern,
@@ -188,13 +209,13 @@ def check_cube_dim(algebra: FiniteAlgebra, d: int, *,
     budget = budget or default_budget()
     if method == "auto":
         method = "pointwise" if is_idempotent(algebra) else "stacked"
+    if method == "pointwise" and not is_idempotent(algebra):
+        raise ValueError("the pointwise check needs an idempotent algebra")
+    if d == 1:
+        return False
     if method == "pointwise":
-        if not is_idempotent(algebra):
-            raise ValueError("the pointwise check needs an idempotent algebra")
         return _check_cube_pointwise(algebra, d, budget)
-    # the columns select each nonempty coordinate set, in increasing mask order
-    return _stacked_query(algebra, d, mix_family((0,) * d, (1,) * d), budget,
-                          f"cube dimension {d}")
+    return _stacked_query(algebra, _edge_rows(d), budget, f"cube dimension {d}")
 
 
 def check_edge_dim(algebra: FiniteAlgebra, d: int, *,
@@ -205,9 +226,7 @@ def check_edge_dim(algebra: FiniteAlgebra, d: int, *,
     if algebra.size == 1:
         return True
     budget = budget or default_budget()
-    # the columns select {0, 1}, then each single coordinate
-    selections = np.vstack([np.arange(d) < 2, np.eye(d, dtype=bool)])
-    return _stacked_query(algebra, d, [selections], budget, f"edge dimension {d}")
+    return _stacked_query(algebra, _edge_rows(d), budget, f"edge dimension {d}")
 
 
 def check_nu(algebra: FiniteAlgebra, k: int, *,
@@ -218,7 +237,7 @@ def check_nu(algebra: FiniteAlgebra, k: int, *,
     if algebra.size == 1:
         return True
     budget = budget or default_budget()
-    return _stacked_query(algebra, k, [np.eye(k, dtype=bool)], budget,
+    return _stacked_query(algebra, np.eye(k, dtype=bool), budget,
                           f"near-unanimity arity {k}")
 
 
@@ -282,8 +301,11 @@ def decide_cube_general(algebra: FiniteAlgebra, cap: Optional[int] = None, *,
     cube term exists (a blocker in the idempotent reduct would make one
     pair fail at every d).  A failing pair at the full bound n**3 * m
     certifies no cube term; a failing pair at a smaller cap only refutes
-    dimensions up to the cap, reported as undecided.
+    dimensions up to the cap, reported as undecided.  A cap below 1 is a
+    ValueError.
     """
+    if cap is not None and cap < 1:
+        raise ValueError("cap must be at least 1")
     trivial = _trivial_decisions(algebra)
     if trivial is not None:
         return trivial
@@ -291,7 +313,7 @@ def decide_cube_general(algebra: FiniteAlgebra, cap: Optional[int] = None, *,
         return decide_cube_idempotent(algebra)
     budget = budget or default_budget()
     bound = bound_general(algebra)
-    cap = bound if cap is None else max(1, min(cap, bound))
+    cap = bound if cap is None else min(cap, bound)
     n = algebra.size
     prefix = tuple(range(n))
     failing: Optional[tuple[int, int]] = None

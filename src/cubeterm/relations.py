@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, _product, element_dtype, mask_elements, mask_of
+from .algebra import FiniteAlgebra, _product, element_dtype, mask_elements, mask_from_json
 from .errors import BudgetExceededError, InputError
 
 
@@ -148,13 +148,14 @@ class Relation:
             raise InputError("relation JSON must be an object")
         arity = obj.get("arity")
         tuples = obj.get("tuples")
-        if not isinstance(arity, int) or arity < 1:
+        if not isinstance(arity, int) or isinstance(arity, bool) or arity < 1:
             raise InputError("arity: missing or not a positive integer")
         if not isinstance(tuples, list):
             raise InputError("tuples: must be a list")
         for i, t in enumerate(tuples):
             if (not isinstance(t, list) or len(t) != arity
-                    or not all(isinstance(v, int) and 0 <= v < n for v in t)):
+                    or not all(isinstance(v, int) and not isinstance(v, bool)
+                               and 0 <= v < n for v in t)):
                 raise InputError(f"tuples[{i}]: not a list of {arity} elements of 0..{n - 1}")
         return cls.from_tuples(n, arity, tuples)
 
@@ -328,10 +329,17 @@ class ChippedCubeSpec:
         blocks = []
         for i, bj in enumerate(obj["blocks"]):
             try:
-                blocks.append((mask_of(bj["C"]), mask_of(bj["D"]), int(bj["mult"])))
+                c, d, mult = bj["C"], bj["D"], bj["mult"]
             except (KeyError, TypeError) as exc:
                 raise InputError(f"blocks[{i}]: {exc}") from exc
-        return cls(tuple(blocks))
+            if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
+                raise InputError(f"blocks[{i}].mult: not an integer >= 1")
+            blocks.append((mask_from_json(c, f"blocks[{i}].C"),
+                           mask_from_json(d, f"blocks[{i}].D"), mult))
+        try:
+            return cls(tuple(blocks))
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
 
 
 #: Largest product `chipped_cube` materializes.

@@ -9,6 +9,7 @@ from cubeterm import (
     Blocker,
     ChippedCubeSpec,
     FiniteAlgebra,
+    InputError,
     OperationTable,
     check_cube_dim,
     chipped_cube,
@@ -171,3 +172,7 @@ def test_blocker_json_round_trip():
     b = Blocker(C0, ALL2)
     assert Blocker.from_json(b.to_json()) == b
     assert b.to_json() == {"C": [0], "D": [0, 1]}
+    for bad in ({"C": 5, "D": [0, 1]}, {"C": [-1], "D": [0, 1]},
+                {"C": [True], "D": [0, 1]}, {"C": [0], "D": "01"}, {"C": [0]}):
+        with pytest.raises(InputError):
+            Blocker.from_json(bad)

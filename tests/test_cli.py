@@ -76,6 +76,13 @@ def test_undecided_exit_code(capsys, algebra_file):
     assert result["payload"]["verdict"] == "undecided"
 
 
+def test_cap_below_one_is_input_error(capsys, algebra_file):
+    for cap in ("0", "-3"):
+        rc, payload, err = invoke(capsys, "decide-cube", "--cap", cap, algebra_file("nand2"))
+        assert rc == 2 and payload is None
+        assert "cap must be at least 1" in err
+
+
 def test_out_of_memory_is_undecided(capsys, algebra_file, monkeypatch):
     # general deepening to the full bound: once the engine cannot allocate,
     # the run ends in an undecided envelope, not a traceback

@@ -1,15 +1,17 @@
 import random
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 
-from conftest import random_idempotent_algebra
+from conftest import random_algebra, random_idempotent_algebra
 from cubeterm import (
     HAS_CUBE,
     NO_CUBE,
     UNDECIDED,
     Blocker,
     Budget,
+    BudgetExceededError,
     FiniteAlgebra,
     MembershipAnswer,
     OperationTable,
@@ -28,7 +30,9 @@ from cubeterm import (
     idempotent_quasigroup,
     is_idempotent,
     mask_of,
+    membership,
     minimal_cube_dimension,
+    mix_family,
 )
 from cubeterm import decide
 
@@ -68,6 +72,7 @@ def test_bound_general():
 
 def test_cube_dim_lattice():
     lat = fixture("lattice2")
+    assert not check_cube_dim(lat, 1)
     assert not check_cube_dim(lat, 2)
     assert check_cube_dim(lat, 3)
 
@@ -105,9 +110,67 @@ def test_cube_dim_input_validation():
     with pytest.raises(ValueError):
         check_cube_dim(fixture("nand2"), 2, method="pointwise")
     with pytest.raises(ValueError):
+        check_cube_dim(fixture("nand2"), 1, method="pointwise")
+    with pytest.raises(ValueError):
         check_cube_dim(fixture("lattice2"), 2, method="bogus")
     with pytest.raises(ValueError):
         check_cube_dim(FiniteAlgebra(1, ()), 2, method="bogus")
+
+
+def _cube_family_verdict(alg, d, budget):
+    """The d-cube question asked with all 2**d - 1 cube columns: one
+    `mix_family` query per pattern for idempotent input, else one stacked
+    query built by the column rule; None when the budget runs out."""
+    n = alg.size
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    if is_idempotent(alg):
+        for pattern in combinations_with_replacement(pairs, d):
+            a, b = zip(*pattern)
+            ans = membership(alg, mix_family(a, b), a, budget=budget)
+            if not ans.found:
+                return None if ans.truncated else False
+        return True
+
+    def column(chosen):
+        return (tuple(b if i in chosen else a for i in range(d) for a, b in pairs)
+                + tuple(range(n)))
+
+    columns = [column({i for i in range(d) if m >> i & 1}) for m in range(1, 1 << d)]
+    ans = membership(alg, columns, column(()), budget=budget)
+    return None if ans.truncated and not ans.found else ans.found
+
+
+def test_cube_dim_matches_full_cube_family():
+    # the edge-column checks against the cube columns written out, on
+    # random algebras idempotent or not; queries the short budget cuts off
+    # are skipped
+    rng = random.Random(71)
+    verdicts = []
+    for _ in range(40):
+        n, idempotent = rng.choice((2, 3)), rng.random() < 0.5
+        arities = [rng.randint(1, 3) for _ in range(rng.randint(1, 2))]
+        alg = (random_idempotent_algebra if idempotent else random_algebra)(rng, n, arities)
+        for d in (2, 3, 4):
+            budget = Budget(max_seconds=0.1)
+            expected = _cube_family_verdict(alg, d, budget)
+            if expected is None:
+                continue
+            for method in ("stacked", "pointwise") if idempotent else ("stacked",):
+                try:
+                    got = check_cube_dim(alg, d, method=method, budget=budget)
+                except BudgetExceededError:
+                    continue
+                assert got == expected, (alg, d, method)
+                verdicts.append(got)
+    assert len(verdicts) >= 40 and True in verdicts and False in verdicts
+
+
+def test_cube_dim_high_dimension_is_fast():
+    # d + 1 generator columns: both answers within two seconds, where 2**d - 1
+    # cube columns would not fit in memory
+    budget = Budget(max_seconds=2)
+    assert check_cube_dim(fixture("constant3"), 30, budget=budget) is False
+    assert check_cube_dim(fixture("nand2"), 40, budget=budget) is True
 
 
 def test_edge_equals_cube_on_fixtures():
@@ -195,6 +258,15 @@ def test_decide_general_constant3_capped():
     dec = decide_cube_general(fixture("constant3"), cap=4)
     assert dec.verdict == UNDECIDED and dec.dimension_bound == 4
     assert dec.failing_pair is not None
+
+
+def test_decide_general_rejects_cap_below_one():
+    # checked before the idempotent routing
+    for name in ("nand2", "semilattice2", "lattice2"):
+        for cap in (0, -3):
+            with pytest.raises(ValueError, match="cap must be at least 1"):
+                decide_cube_general(fixture(name), cap=cap)
+    assert decide_cube_general(fixture("nand2"), cap=1).verdict == UNDECIDED
 
 
 def test_decide_general_delegates_idempotent():
@@ -307,9 +379,11 @@ def test_stacked_columns_match_per_column_rule(monkeypatch):
 
     for n, alg in ((2, fixture("lattice2")), (3, idempotent_quasigroup(3))):
         for d in (1, 2, 3, 5, 13):
-            check_cube_dim(alg, d, method="stacked")
-            queries = [[{i for i in range(d) if m >> i & 1} for m in range(1, 1 << d)]]
+            # the cube check asks the edge question; at d = 1 it asks nothing
+            assert check_cube_dim(alg, d, method="stacked") == (d >= 2)
+            queries = []
             if d >= 2:
+                queries.append([{0, 1}] + [{i} for i in range(d)])
                 check_edge_dim(alg, d)
                 queries.append([{0, 1}] + [{i} for i in range(d)])
             if d >= 3:
@@ -319,6 +393,4 @@ def test_stacked_columns_match_per_column_rule(monkeypatch):
                 assert all(len(block) <= 4096 for block in blocks)
                 rows = [tuple(row) for block in blocks for row in block.tolist()]
                 assert (rows, target) == expected(n, d, selections)
-            if d == 13:
-                assert len(issued[0][0]) == 2  # 8191 cube columns in two blocks
             issued.clear()

@@ -276,6 +276,27 @@ def test_relation_json_rejects_malformed():
         Relation.from_json({"arity": 2, "tuples": [[0]]}, 3)
     with pytest.raises(InputError):
         Relation.from_json({"tuples": []}, 3)
+    with pytest.raises(InputError):
+        Relation.from_json({"arity": True, "tuples": [[1]]}, 3)
+    with pytest.raises(InputError):
+        Relation.from_json({"arity": 2, "tuples": [[0, True]]}, 3)
+
+
+@pytest.mark.parametrize("block", [
+    {"C": 5, "D": [0, 1], "mult": 1},
+    {"C": [-1], "D": [0, 1], "mult": 1},
+    {"C": [True], "D": [0, 1], "mult": 1},
+    {"C": [0], "D": [0, 1.0], "mult": 1},
+    {"C": [0], "D": [0, 1], "mult": 2.7},
+    {"C": [0], "D": [0, 1], "mult": 0},
+    {"C": [0], "D": [0, 1], "mult": True},
+    {"C": [0], "D": [0], "mult": 1},
+    {"C": [0], "D": [0, 1]},
+    [[0], [0, 1], 1],
+])
+def test_spec_json_rejects_malformed(block):
+    with pytest.raises(InputError):
+        ChippedCubeSpec.from_json({"blocks": [block]})
 
 
 def test_relation_projection():
