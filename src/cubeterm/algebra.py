@@ -10,17 +10,21 @@ Every evaluation of operations over many arguments goes through one kernel:
 `_evaluate` applies a compiled operation to broadcastable argument arrays,
 and `_product` feeds it the cartesian products of argument stores in
 chunks.  `is_subuniverse`, the blocker absorption check, the compatibility
-scan, the subpower closure engine and the batched Sg closure (`sg_many`,
-fed by `_ragged_product`, with `sg` as its one-row case) all use it.
+scan and the subpower closure engine all use it.  So does `close_codes`,
+which closes many sets of codes of A**d at once (fed by `_ragged_product`,
+which numbers every row's own argument combinations in one sequence):
+the pointwise cube checks call it per block of patterns, and `sg_many`
+and `sg` are its d = 1 case.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
-from typing import Iterable, Iterator, Optional
+from itertools import chain, product
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -180,8 +184,7 @@ class FiniteAlgebra:
 # compiled form and the evaluation kernel
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class _Op:
+class _Op(NamedTuple):
     """One basic operation, compiled.
 
     For two-element universes `terms` lists the argument patterns (bit j
@@ -198,8 +201,7 @@ class _Op:
     complement: bool
 
 
-@dataclass(frozen=True, eq=False)
-class CompiledAlgebra:
+class CompiledAlgebra(NamedTuple):
     """Numpy tables in the element dtype, projections and duplicates dropped.
 
     Neither a projection (it returns one of its arguments) nor a second copy
@@ -378,58 +380,145 @@ def is_idempotent(algebra: FiniteAlgebra) -> bool:
     return True
 
 
-def _ragged_product(op: _Op, stores, cells: int = KERNEL_CELLS):
+def _code_digits(n: int, d: int) -> np.ndarray:
+    """The digit table of A**d: row i holds digit i (big-endian) of every code."""
+    return np.indices((n,) * d, dtype=element_dtype(n)).reshape(d, -1)
+
+
+def _code_values(op: _Op, args, digits: np.ndarray) -> np.ndarray:
+    """op applied coordinatewise to argument arrays of codes of A**d."""
+    out = None
+    for column in digits:
+        values = op.table[_radix([column[a] for a in args], op.n)]
+        out = values.astype(np.int64) if out is None else out * op.n + values
+    return out
+
+
+class _RowSets:
+    """A bool matrix as the entry lists of its rows: `elems` holds them one
+    row after another, row r from `starts[r]` on, `counts[r]` entries."""
+
+    def __init__(self, matrix: np.ndarray):
+        self.counts = matrix.sum(axis=1)
+        self.elems = np.nonzero(matrix)[1]
+        self.starts = np.cumsum(self.counts) - self.counts
+
+
+def _ragged_product(op: _Op, stores, cells: int = KERNEL_CELLS,
+                    digits: Optional[np.ndarray] = None):
     """Yield (rows, values): op over each row's own cartesian product, row r
-    taking argument j from row r of the bool matrix stores[j].  All rows'
-    combinations are numbered in one sequence, taken `cells` at a time."""
-    counts = [s.sum(axis=1) for s in stores]
+    taking argument j from row r of stores[j], a bool matrix or its
+    `_RowSets`.  All rows' combinations are numbered in one sequence, taken
+    `cells` at a time.  A symmetric binary op over one store twice gets
+    each unordered pair once.
+
+    With `digits` (the `_code_digits` table) the entries are codes of A**d
+    and op acts on them coordinatewise; a chunk then takes cells // 32
+    combinations, as each carries a dozen int64 temporaries.
+    """
+    pairs = op.symmetric and stores[0] is stores[1]
+    stores = [s if isinstance(s, _RowSets) else _RowSets(s) for s in stores]
+    counts = [s.counts for s in stores]
     totals = math.prod(counts)
     ends = np.cumsum(totals)
     total = int(ends[-1])
     if not total:
         return
-    elems = [np.nonzero(s)[1] for s in stores]
-    starts = [np.cumsum(c) - c for c in counts]
-    for lo in range(0, total, cells):
-        flat = np.arange(lo, min(lo + cells, total))
+    begins = ends - totals
+    step = cells if digits is None else max(1, cells // 32)
+    for lo in range(0, total, step):
+        flat = np.arange(lo, min(lo + step, total))
         rows = np.searchsorted(ends, flat, side="right")
-        left = flat - (ends - totals)[rows]
+        left = flat - begins[rows]
         args = [None] * op.arity
-        for j in reversed(range(op.arity)):
+        for j in range(op.arity - 1, 0, -1):
             left, digit = np.divmod(left, counts[j][rows])
-            args[j] = elems[j][starts[j][rows] + digit]
-        yield rows, _evaluate(op, args)
+            args[j] = stores[j].elems[stores[j].starts[rows] + digit]
+        args[0] = stores[0].elems[stores[0].starts[rows] + left]
+        if pairs:  # entries are sorted within a row
+            keep = args[1] <= args[0]
+            rows, args = rows[keep], [a[keep] for a in args]
+        yield rows, _evaluate(op, args) if digits is None else _code_values(op, args, digits)
+
+
+def _code_blocks(ops, new, old=None, every=None):
+    """(op, stores) for one round: `_frontier`'s blocks, for a symmetric
+    binary op new x old and the pairs inside new.  The first round has
+    no `old`, and every = new."""
+    for op in ops:
+        if old is None:
+            yield op, [new] * op.arity
+        elif op.symmetric:
+            yield op, [new, old]
+            yield op, [new, new]
+        else:
+            for stores in _frontier(op.arity, old, new, every):
+                yield op, stores
+
+
+def close_codes(algebra: FiniteAlgebra, d: int, gens: np.ndarray, targets=None, *,
+                max_members: Optional[int] = None, max_seconds: Optional[float] = None):
+    """Close many sets of codes of A**d at once, each under every operation.
+
+    gens is a (rows x n**d) bool matrix, row r the generators of closure r;
+    targets, when given, holds one code per row.  Each row grows in rounds
+    by semi-naive evaluation: every operation is applied only to argument
+    tuples that touch a code the row gained in the previous round, a
+    symmetric binary one to unordered pairs only.  A row leaves the
+    frontier once it holds its target or the whole space.  A row still
+    without its target is truncated when it holds more than max_members
+    codes after a round, or when the run passes max_seconds.  Operations
+    act on codes through the digit table, so d = 1 is the Sg closure.
+
+    Returns (members, found, truncated): each row's codes as a bool
+    matrix, whether it holds its target, whether a cap cut it off.
+    """
+    digits = None if d == 1 else _code_digits(algebra.size, d)
+    deadline = None if max_seconds is None else time.monotonic() + max_seconds
+    index = np.arange(len(gens))
+    targets = None if targets is None else np.asarray(targets)
+    new = np.array(gens, dtype=bool)
+    found = np.zeros(len(new), dtype=bool)
+    truncated = np.zeros_like(found)
+    every = None
+    while True:
+        old, every = every, new if every is None else every | new
+        if targets is not None:
+            found = every[index, targets]
+            truncated &= ~found
+        if max_members is not None:
+            truncated |= ~found & (every.sum(axis=1) > max_members)
+        live = np.flatnonzero(new.any(axis=1) & ~(found | truncated | every.all(axis=1)))
+        if not live.size:
+            return every, found, truncated
+        picked = slice(None) if live.size == len(every) else live
+        parts = [_RowSets(p[picked]) for p in ((new,) if old is None else (new, old, every))]
+        hit = np.zeros_like(every)
+        for rows, values in chain.from_iterable(
+                _ragged_product(op, stores, digits=digits)
+                for op, stores in _code_blocks(algebra.compiled.ops, *parts)):
+            hit[live[rows], values] = True
+            if targets is not None and hit[live, targets[live]].all():
+                break
+            if deadline is not None and time.monotonic() > deadline:
+                truncated[live] = True  # cleared above for rows that found their target
+                break
+        new = hit & ~every
 
 
 def sg_many(algebra: FiniteAlgebra, seeds) -> list[int]:
-    """Subuniverses generated by many seed sets at once, as bitmasks.
-
-    Each row of a (seeds x n) membership matrix grows in rounds, applying
-    every operation to the argument tuples that touch an element the row
-    gained in the previous round, so no tuple is processed twice.  A row
-    holding the whole universe leaves the frontier.  Sg({}) is empty.
-    """
+    """Subuniverses generated by many seed sets at once, as bitmasks:
+    `close_codes` at d = 1 on the (seeds x n) membership matrix.  Sg({})
+    is empty."""
     n = algebra.size
     masks = [_as_mask(s) for s in seeds]
     if any(m < 0 or m >> n for m in masks):
         raise ValueError("seed contains elements outside the universe")
     width = (n + 7) // 8
     octets = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
-    new = np.unpackbits(octets.reshape(len(masks), width), axis=1, count=n,
-                        bitorder="little").astype(bool)
-    every = np.zeros_like(new)
-    while True:
-        old, every = every, every | new
-        live = np.flatnonzero(new.any(axis=1) & ~every.all(axis=1))
-        if not live.size:
-            break
-        hit, parts = np.zeros_like(every), (old[live], new[live], every[live])
-        for op in algebra.compiled.ops:
-            for stores in _frontier(op.arity, *parts):
-                for rows, values in _ragged_product(op, stores):
-                    hit[live[rows], values] = True
-        new = hit & ~every
-    packed = np.packbits(every, axis=1, bitorder="little")
+    gens = np.unpackbits(octets.reshape(len(masks), width), axis=1, count=n,
+                         bitorder="little").astype(bool)
+    packed = np.packbits(close_codes(algebra, 1, gens)[0], axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 

@@ -24,18 +24,27 @@ every pattern passes with the edge columns, it passes with the cube
 columns, which are closed under permuting coordinates, so a d-cube term
 exists, and its d-edge term passes every pattern in any order; only the
 first failing pattern may differ.
+
+The pattern queries are many and small (closures of tens of members), so
+on three or more elements with a code space n**d of at most
+`POINTWISE_BATCH_SPACE` they close together: blocks of patterns, in
+pattern order, go to one batched closure over the codes of A**d
+(`algebra.close_codes`), and a negative check stops at the first block
+that holds a failing pattern.  Two-element universes and larger code
+spaces ask one `membership` query per pattern.  Either way the answer is
+that of the first pattern in order that fails or is cut off by the budget.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 from typing import Optional
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, full_mask, is_idempotent
+from .algebra import FiniteAlgebra, close_codes, full_mask, is_idempotent
 from .blockers import Blocker, find_blocker
 from .errors import BudgetExceededError
 from .relations import mix_family
@@ -166,22 +175,60 @@ def _stacked_query(algebra: FiniteAlgebra, selections: np.ndarray,
 # fixed-dimension checks
 # ---------------------------------------------------------------------------
 
+#: The routing rule of the pointwise check: on three or more elements the
+#: patterns close in batches (`close_codes`) while the code space n**d is at
+#: most this.  Two-element universes, whose saturating closures the engine's
+#: bit mode runs fastest, and larger spaces ask one `membership` query per
+#: pattern.
+POINTWISE_BATCH_SPACE = 1 << 12
+
+#: Cells of one batch's (patterns x n**d) generator matrix.
+POINTWISE_BATCH_CELLS = 1 << 13
+
+
+def _pattern_blocks(algebra: FiniteAlgebra, d: int, rows: int):
+    """The patterns of differing value pairs, one per multiset, in
+    `combinations_with_replacement` order, as (a, b) arrays of `rows`
+    patterns by d coordinates."""
+    n = algebra.size
+    pairs = np.array([(a, b) for a in range(n) for b in range(n) if a != b],
+                     dtype=algebra.compiled.dtype)
+    patterns = combinations_with_replacement(range(len(pairs)), d)
+    while block := list(islice(patterns, rows)):
+        yield pairs[np.array(block)].transpose(2, 0, 1)
+
+
 def _check_cube_pointwise(algebra: FiniteAlgebra, d: int, budget: Budget) -> bool:
     # Every instance with a repeated coordinate value pair (a_i == b_i)
     # passes trivially (the column selecting coordinate i alone equals the
-    # target), so only patterns of genuinely differing pairs remain, one per
-    # multiset.
+    # target), so only patterns of genuinely differing pairs remain.  The
+    # answer is that of the first pattern in order that fails or is cut off.
     n = algebra.size
-    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    space = n ** d
     edge_rows = _edge_rows(d)
-    for pattern in combinations_with_replacement(pairs, d):
-        a, b = np.array(pattern, dtype=algebra.compiled.dtype).T
-        ans = membership(algebra, [np.where(edge_rows, b, a)], a, budget=budget)
-        if ans.truncated and not ans.found:
-            raise BudgetExceededError(
-                f"cube dimension {d}: closure budget exhausted on pattern {pattern}"
-            )
-        if not ans.found:
+    weights = n ** np.arange(d - 1, -1, -1)
+    for a, b in _pattern_blocks(algebra, d, max(1, POINTWISE_BATCH_CELLS // space)):
+        columns = np.where(edge_rows, b[:, None], a[:, None])
+        if n > 2 and space <= POINTWISE_BATCH_SPACE:
+            gens = np.zeros((len(a), space), dtype=bool)
+            gens[np.arange(len(a))[:, None], columns @ weights] = True
+            _, found, truncated = close_codes(algebra, d, gens, a @ weights,
+                                              max_members=budget.max_members,
+                                              max_seconds=budget.max_seconds)
+        else:
+            found, truncated = [], []
+            for column, target in zip(columns, a):
+                ans = membership(algebra, [column], target, budget=budget)
+                found.append(ans.found)
+                truncated.append(ans.truncated)
+                if not ans.found:
+                    break
+        if not np.all(found):
+            r = np.argmin(found)  # the first pattern of the block that did not pass
+            if truncated[r]:
+                raise BudgetExceededError(
+                    f"cube dimension {d}: closure budget exhausted on pattern "
+                    f"{tuple(zip(a[r].tolist(), b[r].tolist()))}")
             return False
     return True
 
@@ -197,8 +244,13 @@ def check_cube_dim(algebra: FiniteAlgebra, d: int, *,
 
     method: "stacked" runs the single stacked membership query, "pointwise"
     (idempotent algebras only) one small query per value-pair pattern,
-    "auto" picks pointwise for idempotent input.  Exceeding the budget
-    raises rather than guessing.
+    "auto" picks pointwise for idempotent input.  The pointwise queries
+    close in batched blocks where `POINTWISE_BATCH_SPACE` allows (see the
+    module docstring); there `budget.max_members` caps each pattern's
+    closure after every round and `budget.max_seconds` each block.
+    Exceeding the budget raises rather than guessing: the check answers
+    False at the first failing pattern in order unless a pattern cut off
+    by the budget comes before it.
     """
     if d < 1:
         raise ValueError("cube dimension must be at least 1")
@@ -372,8 +424,11 @@ def decide_nu(algebra: FiniteAlgebra, cap: Optional[int] = None, *,
     congruence distributive variety and has a k-dimensional cube term, so
     when any NU term exists its minimal arity equals max(3, minimal cube
     dimension).  Strategy: decide cube existence, find the minimal cube
-    dimension d0, then run the direct NU check at max(3, d0).
+    dimension d0, then run the direct NU check at max(3, d0).  A cap below
+    2 is a ValueError, whatever the answer would be.
     """
+    if cap is not None and cap < 2:
+        raise ValueError("cap must be at least 2")
     if algebra.size == 1:
         return NuDecision("has_nu", arity=3)
     cube = decide_cube(algebra, cap, budget=budget)

@@ -9,8 +9,9 @@ The closure runs breadth-first with a frontier: each round applies every
 basic operation only to argument tuples touching at least one member added
 since the previous round, so no argument tuple is evaluated twice.
 Generators are folded in chunk by chunk between rounds, which lets a
-membership query succeed long before a large generator family (2**d - 1
-tuples for the cube checks) has even been enumerated.  They arrive as a
+membership query succeed long before a large generator family (the
+2**d - 1 overwrites that `decide_cube_general` streams from
+`relations.mix_family`) has even been enumerated.  They arrive as a
 stream of 2-D row blocks (`relations.mix_family`) or of single tuples,
 and are re-cut into chunks of exactly `GENERATOR_CHUNK` rows, so the
 rounds do not depend on how the stream was blocked.

@@ -1,6 +1,6 @@
 import random
 import signal
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -24,7 +24,7 @@ from cubeterm import (
     sg_many,
     validate,
 )
-from cubeterm.algebra import _ragged_product
+from cubeterm.algebra import _code_digits, _ragged_product
 
 MEET = OperationTable("meet", 2, (0, 0, 0, 1))
 
@@ -160,6 +160,31 @@ def test_ragged_product_chunks_cover_each_row_product_once():
                      for rows, values in _ragged_product(op, stores, cells)
                      for r, v in zip(rows, values))
         assert got == want
+
+
+def test_ragged_product_pairs_and_codes():
+    # a symmetric op over one store twice: each unordered pair of a row's
+    # entries once; with the digit table, op coordinatewise on codes of A**2
+    rng = np.random.default_rng(9)
+    n = 3
+    table = [random.Random(9).randrange(n) for _ in range(n * n)]
+    table = [table[min(x, y) * n + max(x, y)] for x in range(n) for y in range(n)]
+    op = FiniteAlgebra(n, (OperationTable("f", 2, tuple(table)),)).compiled.ops[0]
+    assert op.symmetric
+    stores = [rng.random((7, n * n)) < p for p in (0.2, 0.7)]
+
+    def value(x, y):
+        return sum(table[(x // n ** k % n) * n + y // n ** k % n] * n ** k for k in range(2))
+
+    for pairs in (True, False):
+        want = sorted((r, value(x, y)) for r in range(7) for x, y in (
+            combinations_with_replacement(np.flatnonzero(stores[1][r]), 2) if pairs
+            else product(*(np.flatnonzero(s[r]) for s in stores))))
+        for cells in (32, 500, 1 << 16):
+            got = sorted((int(r), int(v)) for rows, values in _ragged_product(
+                op, stores[1:] * 2 if pairs else stores, cells, _code_digits(n, 2))
+                for r, v in zip(rows, values))
+            assert got == want
 
 
 def test_enumerate_subuniverses_lattice():

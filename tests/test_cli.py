@@ -83,6 +83,14 @@ def test_cap_below_one_is_input_error(capsys, algebra_file):
         assert "cap must be at least 1" in err
 
 
+def test_decide_nu_cap_below_two_is_input_error(capsys, algebra_file):
+    # rejected before any decision: lattice2 has a cube term, semilattice2 not
+    for name in ("lattice2", "semilattice2"):
+        rc, payload, err = invoke(capsys, "decide-nu", "--cap", "1", algebra_file(name))
+        assert rc == 2 and payload is None
+        assert "cap must be at least 2" in err
+
+
 def test_out_of_memory_is_undecided(capsys, algebra_file, monkeypatch):
     # general deepening to the full bound: once the engine cannot allocate,
     # the run ends in an undecided envelope, not a traceback

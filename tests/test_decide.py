@@ -174,10 +174,50 @@ def test_cube_dim_high_dimension_is_fast():
 
 
 def test_edge_equals_cube_on_fixtures():
+    # on nand2 and constant3 both checks ask the same stacked edge query, so
+    # the written-out cube families are the comparison that tells
     for name in ("lattice2", "semilattice2", "nand2", "constant3", "no_ops2"):
         alg = fixture(name)
         for d in (2, 3):
-            assert check_edge_dim(alg, d) == check_cube_dim(alg, d)
+            cube = check_cube_dim(alg, d)
+            assert check_edge_dim(alg, d) == cube == _cube_family_verdict(alg, d, Budget())
+
+
+# Patterns of one binary operation on {0, 1, 2} at d = 2 under a cap of 4
+# members: some fail with a closure of 3 or 4 members, the others that fail
+# pass the cap first.  The two tables are the same algebra under two
+# labellings, which put a different kind of pattern first.
+CUT_OFF_FIRST = FiniteAlgebra(3, (OperationTable("f", 2, (0, 2, 0, 1, 1, 1, 1, 1, 2)),))
+FAILING_FIRST = FiniteAlgebra(3, (OperationTable("f", 2, (0, 1, 1, 1, 1, 1, 2, 0, 2)),))
+
+
+def _pattern_outcomes(alg, budget):
+    pairs = [(a, b) for a in range(3) for b in range(3) if a != b]
+    out = []
+    for pattern in combinations_with_replacement(pairs, 2):
+        a, b = np.array(pattern).T
+        ans = membership(alg, [np.where(decide._edge_rows(2), b, a)], a, budget=budget)
+        out.append("found" if ans.found else "cut off" if ans.truncated else "failing")
+    return out
+
+
+@pytest.mark.parametrize("space, cells", [(None, None), (None, 9), (0, None)])
+def test_pointwise_first_failing_or_cut_off_pattern_decides(monkeypatch, space, cells):
+    # batched (one block, or one pattern per block) and one query per pattern
+    if space is not None:
+        monkeypatch.setattr(decide, "POINTWISE_BATCH_SPACE", space)
+    if cells is not None:
+        monkeypatch.setattr(decide, "POINTWISE_BATCH_CELLS", cells)
+    budget = Budget(max_members=4)
+    for alg, first, later in ((CUT_OFF_FIRST, "cut off", "failing"),
+                              (FAILING_FIRST, "failing", "cut off")):
+        outcomes = _pattern_outcomes(alg, budget)
+        at = next(i for i, o in enumerate(outcomes) if o != "found")
+        assert outcomes[at] == first and later in outcomes[at + 1:]
+        assert check_cube_dim(alg, 2) is False
+    assert check_cube_dim(FAILING_FIRST, 2, budget=budget) is False
+    with pytest.raises(BudgetExceededError, match=r"pattern \(\(0, 1\), \(0, 1\)\)"):
+        check_cube_dim(CUT_OFF_FIRST, 2, budget=budget)
 
 
 def test_edge_one_element_and_validation():
@@ -306,6 +346,12 @@ def test_decide_nu_fixtures():
     assert decide_nu(fixture("semilattice2")).verdict == "no_nu"
     q3 = decide_nu(idempotent_quasigroup(3))
     assert q3.verdict == "no_nu"
+
+
+def test_decide_nu_rejects_cap_below_two():
+    for name in ("lattice2", "semilattice2", "no_ops1"):
+        with pytest.raises(ValueError, match="cap must be at least 2"):
+            decide_nu(fixture(name), cap=1)
 
 
 def test_decide_nu_nand():

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     StarvedNumpy,
@@ -17,6 +19,7 @@ from cubeterm import (
     InputError,
     OperationTable,
     Relation,
+    code_tuple,
     decide_cube_general,
     default_budget,
     fixture,
@@ -24,7 +27,9 @@ from cubeterm import (
     membership,
     mix_family,
     subpower,
+    tuple_code,
 )
+from cubeterm.algebra import close_codes
 
 
 def test_lattice_closure_of_antichain():
@@ -333,3 +338,63 @@ def test_generator_chunks_span_several_blocks(monkeypatch):
     for chunk in (1000, 4095, 4097):
         monkeypatch.setattr(subpower, "GENERATOR_CHUNK", chunk)
         assert generate(alg, mix_family(a, b), target=a) == generate(alg, rows, target=a)
+
+
+@st.composite
+def algebras_and_code_batches(draw):
+    """An algebra with 2 to 4 elements and one or two operations of arity 1
+    to 3 (a binary one symmetric or not), a dimension d of 1 to 4 (lower
+    where a saturating closure would be slow), and a batch of generator
+    rows over the codes of A**d with 0 to 3 generators and a target each."""
+    n = draw(st.integers(2, 4))
+    rng = draw(st.randoms(use_true_random=False))
+    arities = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    ops = []
+    for i, m in enumerate(arities):
+        table = [rng.randrange(n) for _ in range(n ** m)]
+        if m == 2 and draw(st.booleans()):
+            table = [table[min(x, y) * n + max(x, y)] for x in range(n) for y in range(n)]
+        ops.append(OperationTable(f"f{i}", m, tuple(table)))
+    d = draw(st.integers(1, max(k for k in range(1, 5) if n ** (k * max(arities)) <= 1 << 16)))
+    space = n ** d
+    rows = draw(st.integers(1, 6))
+    gens = np.zeros((rows, space), dtype=bool)
+    for r in range(rows):
+        gens[r, [rng.randrange(space) for _ in range(rng.randint(0, 3))]] = True
+    return FiniteAlgebra(n, tuple(ops)), d, gens, [rng.randrange(space) for _ in range(rows)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(algebras_and_code_batches())
+def test_close_codes_matches_engine(case):
+    # per row: the found flag of `membership`, and without a target (or
+    # when the target never turns up) the member set of `generate`
+    alg, d, gens, targets = case
+    n = alg.size
+    members, found, truncated = close_codes(alg, d, gens, targets)
+    closed, no_target, cut_off = close_codes(alg, d, gens)
+    assert not truncated.any() and not cut_off.any() and not no_target.any()
+    for r, target in enumerate(targets):
+        seeds = [code_tuple(c, d, n) for c in np.flatnonzero(gens[r])]
+        closure = {tuple_code(t, n) for t in generate(alg, seeds, arity=d)[0]}
+        assert set(np.flatnonzero(closed[r]).tolist()) == closure
+        assert found[r] == membership(alg, seeds, code_tuple(target, d, n)).found
+        got = set(np.flatnonzero(members[r]).tolist())
+        assert got <= closure
+        assert got == closure or found[r] and target in got
+
+
+def test_close_codes_caps():
+    # lattice2 at d = 2: (0, 1) and (1, 0) generate (0, 0) by meet and
+    # (1, 1) by join in one round.  The member cap applies after a round
+    # and the time cap after a kernel chunk (meet's comes first), and a
+    # target among the generators is found before either applies
+    gens = np.zeros((2, 4), dtype=bool)
+    gens[:, [1, 2]] = True
+    alg = fixture("lattice2")
+    for caps in ({"max_members": 1}, {"max_seconds": 0}):
+        _, found, truncated = close_codes(alg, 2, gens, [1, 3], **caps)
+        assert found.tolist() == [True, False] and truncated.tolist() == [False, True]
+    for caps in ({"max_members": 2}, {"max_seconds": 10}):
+        _, found, truncated = close_codes(alg, 2, gens, [1, 3], **caps)
+        assert found.all() and not truncated.any()
