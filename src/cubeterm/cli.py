@@ -98,8 +98,8 @@ def _decision_payload(dec: decide.CubeDecision):
 
 
 def _cmd_decide_cube(alg: FiniteAlgebra, args):
-    dec = decide.decide_cube(alg, cap=args.cap,
-                             use_idempotent_path=not args.force_general)
+    decision = decide.decide_cube_general if args.force_general else decide.decide_cube
+    dec = decision(alg, cap=args.cap)
     return _decision_payload(dec), f"verdict: {dec.verdict} (bound {dec.dimension_bound})"
 
 

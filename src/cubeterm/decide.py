@@ -332,6 +332,11 @@ def decide_cube_idempotent(algebra: FiniteAlgebra) -> CubeDecision:
     return CubeDecision(HAS_CUBE, dimension_bound=bound)
 
 
+def _check_cap(cap: Optional[int]) -> None:
+    if cap is not None and cap < 1:
+        raise ValueError("cap must be at least 1")
+
+
 def _deepening_schedule(cap: int) -> list[int]:
     ds = []
     d = 1
@@ -343,8 +348,7 @@ def _deepening_schedule(cap: int) -> list[int]:
 
 
 def decide_cube_general(algebra: FiniteAlgebra, cap: Optional[int] = None, *,
-                        budget: Optional[Budget] = None,
-                        use_idempotent_path: bool = True) -> CubeDecision:
+                        budget: Optional[Budget] = None) -> CubeDecision:
     """Decision for arbitrary algebras, exponential in the worst case.
 
     Iterative deepening over d: for each value pair (a, b) test whether the
@@ -353,16 +357,14 @@ def decide_cube_general(algebra: FiniteAlgebra, cap: Optional[int] = None, *,
     cube term exists (a blocker in the idempotent reduct would make one
     pair fail at every d).  A failing pair at the full bound n**3 * m
     certifies no cube term; a failing pair at a smaller cap only refutes
-    dimensions up to the cap, reported as undecided.  A cap below 1 is a
-    ValueError.
+    dimensions up to the cap, reported as undecided.  Idempotent input
+    runs the deepening too (`decide_cube` routes it to the blocker search
+    instead).  A cap below 1 is a ValueError.
     """
-    if cap is not None and cap < 1:
-        raise ValueError("cap must be at least 1")
+    _check_cap(cap)
     trivial = _trivial_decisions(algebra)
     if trivial is not None:
         return trivial
-    if use_idempotent_path and is_idempotent(algebra):
-        return decide_cube_idempotent(algebra)
     budget = budget or default_budget()
     bound = bound_general(algebra)
     cap = bound if cap is None else min(cap, bound)
@@ -397,8 +399,19 @@ def decide_cube_general(algebra: FiniteAlgebra, cap: Optional[int] = None, *,
     )
 
 
-#: The front door: routes idempotent input to the polynomial path.
-decide_cube = decide_cube_general
+def decide_cube(algebra: FiniteAlgebra, cap: Optional[int] = None, *,
+                budget: Optional[Budget] = None) -> CubeDecision:
+    """Does the algebra have a cube term of any dimension?
+
+    Idempotent input goes to the polynomial `decide_cube_idempotent`,
+    everything else to `decide_cube_general`, which alone uses cap and
+    budget; both answer the trivial cases first.  A cap below 1 is a
+    ValueError.
+    """
+    _check_cap(cap)
+    if is_idempotent(algebra):
+        return decide_cube_idempotent(algebra)
+    return decide_cube_general(algebra, cap, budget=budget)
 
 
 def minimal_cube_dimension(algebra: FiniteAlgebra, cap: int, *,

@@ -15,6 +15,7 @@ from itertools import combinations_with_replacement, product
 from typing import Optional
 
 from .algebra import (
+    MAX_SIZE,
     FiniteAlgebra,
     OperationTable,
     enumerate_subuniverses,
@@ -56,9 +57,10 @@ def constant3() -> FiniteAlgebra:
 
 
 def no_ops(n: int) -> FiniteAlgebra:
-    """An n-element set with no operations (clone of projections)."""
-    if n < 1:
-        raise ValueError("universe size must be at least 1")
+    """An n-element set with no operations (clone of projections), for
+    1 <= n <= MAX_SIZE."""
+    if not 1 <= n <= MAX_SIZE:
+        raise ValueError(f"universe size must be between 1 and {MAX_SIZE}, got {n}")
     return FiniteAlgebra(n, (), name=f"no_ops{n}")
 
 

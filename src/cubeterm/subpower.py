@@ -2,19 +2,17 @@
 
 This is the workhorse behind every term-existence check: generate the
 subuniverse of A**K spanned by a (possibly streamed) family of generator
-tuples, optionally watching for one target tuple and stopping the moment
-it appears.
+tuples, optionally watching for one target tuple and stopping once it
+appears.
 
-The closure runs breadth-first with a frontier: each round applies every
-basic operation only to argument tuples touching at least one member added
-since the previous round, so no argument tuple is evaluated twice.
-Generators are folded in chunk by chunk between rounds, which lets a
-membership query succeed long before a large generator family (the
-2**d - 1 overwrites that `decide_cube_general` streams from
-`relations.mix_family`) has even been enumerated.  They arrive as a
-stream of 2-D row blocks (`relations.mix_family`) or of single tuples,
-and are re-cut into chunks of exactly `GENERATOR_CHUNK` rows, so the
-rounds do not depend on how the stream was blocked.
+The generators (a stream of 2-D row blocks, as `relations.mix_family`
+yields them, or of single tuples) are absorbed first, then the closure runs
+breadth-first with a frontier: each round applies every basic operation
+only to argument tuples touching at least one member added since the
+previous round, so no argument tuple is evaluated twice, and the rounds
+end when one adds nothing.  Unless the budget cuts a run off (it is checked
+after each generator block), how the stream is blocked changes neither
+the members, nor their order, nor the depth at which a target appears.
 
 Operations come from the algebra's compiled form (`FiniteAlgebra.compiled`,
 built once per algebra and shared by every query): numpy tables in the
@@ -46,7 +44,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from itertools import chain, groupby, islice
+from itertools import chain, groupby
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -58,9 +56,6 @@ from .relations import INT64_CODES, Relation, _digit_rows, _in_sorted, _keys
 #: Largest code space held as a dense bool array (2**26 codes = 64 MiB).
 DENSE_CODE_LIMIT = 1 << 26
 
-#: Generator rows folded into the closure between two rounds.
-GENERATOR_CHUNK = 4096
-
 
 @dataclass
 class Budget:
@@ -71,8 +66,8 @@ class Budget:
     with truncated=True rather than returning a wrong answer.  dense_limit
     is the largest code space (up to 2**62) whose seen keys are kept as a
     dense bool array, one byte per code; larger ones use sorted key runs.
-    Chunk sizes are the module constants `KERNEL_CELLS` and
-    `GENERATOR_CHUNK`, not caps.
+    The kernel's chunk size is the module constant `KERNEL_CELLS`, not a
+    cap.
     """
 
     max_members: int = 10 ** 8
@@ -97,8 +92,9 @@ class MembershipAnswer:
     """Outcome of a generate/membership run.
 
     witness_depth is the breadth-first round at which the target appeared
-    (0 = it was a generator).  found implies the run was not truncated
-    before the find.
+    (0 = it was a generator).  A found target is never reported as
+    truncated, even when the budget ran out while later generators were
+    being absorbed.
     """
 
     found: bool
@@ -139,7 +135,7 @@ class _Engine:
         need = self.count + extra
         if need <= self.store.shape[0]:
             return
-        cap = max(need, 2 * self.store.shape[0])
+        cap = 1 << (need - 1).bit_length()  # a power of two: 2**k members fit exactly
         grown = np.empty((cap,) + self.store.shape[1:], dtype=self.store.dtype)
         grown[: self.count] = self.store[: self.count]
         self.store = grown
@@ -238,34 +234,22 @@ class _Engine:
     # -- main loop -----------------------------------------------------------
 
     def run(self, gens: Iterable) -> None:
-        """Close the generators; a MemoryError ends the run as truncated."""
-        chunks = _row_blocks(gens, GENERATOR_CHUNK)
-        f_lo = 0
-        exhausted = False
-        depth = 0
+        """Absorb the generator blocks, then close round by round until a
+        round adds nothing; a MemoryError ends the run as truncated."""
         try:
             space = self.n ** self.K  # the bitset is indexed by int64 keys
             dense = space <= min(self.budget.dense_limit, INT64_CODES)
             self.known_bits = np.zeros(space, bool) if dense else None
-            while True:
-                if not exhausted and not self.found:
-                    chunk = next(chunks, None)
-                    if chunk is not None:
-                        self.insert_rows(chunk)
-                    else:
-                        exhausted = True
-                if self.found or self._over_budget():
+            for block in _row_blocks(gens):
+                self.insert_rows(block)
+                if self._over_budget():
                     return
-                f_hi = self.count
-                if f_hi == f_lo:
-                    if exhausted:
-                        return
-                    continue
+            f_lo = depth = 0
+            while f_lo < self.count and not (self.found or self.truncated):
                 depth += 1
+                f_hi = self.count
                 self.close_round(f_lo, f_hi, depth)
                 f_lo = f_hi
-                if self.found or self.truncated:
-                    return
         except MemoryError:
             self.truncated = True
 
@@ -284,7 +268,7 @@ class _Engine:
             found=self.found,
             closure_size=self.count,
             witness_depth=self.found_depth,
-            truncated=self.truncated,
+            truncated=self.truncated and not self.found,
         )
 
 
@@ -296,25 +280,11 @@ def _is_block(item) -> bool:
     return isinstance(item, np.ndarray) and item.ndim == 2
 
 
-def _row_blocks(items: Iterable, size: int) -> Iterator[np.ndarray]:
-    """Generator rows in blocks of exactly `size` rows, the last one shorter.
-
-    The items are 2-D row blocks or single tuples, in any mix; runs of
-    tuples are grouped into arrays, blocks are split or joined.
-    """
-    parts, held = [], 0
+def _row_blocks(items: Iterable) -> Iterator[np.ndarray]:
+    """The generator rows as 2-D blocks: blocks pass through as they
+    arrive, and each run of single tuples becomes one block."""
     for is_block, run in groupby(items, _is_block):
-        for block in run if is_block else iter(lambda: list(islice(run, size)), []):
-            block = np.asarray(block)
-            while len(block):
-                parts.append(block[: size - held])
-                held += len(parts[-1])
-                block = block[len(parts[-1]):]
-                if held == size:
-                    yield parts[0] if len(parts) == 1 else np.concatenate(parts)
-                    parts, held = [], 0
-    if parts:
-        yield parts[0] if len(parts) == 1 else np.concatenate(parts)
+        yield from run if is_block else [np.asarray(list(run))]
 
 
 def _infer_arity(generators, target, arity):
@@ -334,6 +304,14 @@ def _infer_arity(generators, target, arity):
     return arity, generators
 
 
+def _run(algebra: FiniteAlgebra, generators: Iterable, target, arity,
+         budget: Optional[Budget]) -> _Engine:
+    k, gens = _infer_arity(generators, target, arity)
+    eng = _Engine(algebra, k, target, budget or default_budget())
+    eng.run(gens)
+    return eng
+
+
 def generate(algebra: FiniteAlgebra, generators: Iterable, *,
              target: Optional[Sequence[int]] = None,
              arity: Optional[int] = None,
@@ -341,24 +319,16 @@ def generate(algebra: FiniteAlgebra, generators: Iterable, *,
     """Close a generator family under all basic operations, row-wise.
 
     Returns the closure as a Relation (partial if the budget was hit) and
-    the membership answer for the optional target.  The run stops as soon
-    as the target turns up; the resulting relation is then just the part
-    of the closure built so far.
+    the membership answer for the optional target.  Once the generators
+    are in, the run stops as soon as the target turns up; the resulting
+    relation is then just the part of the closure built so far.
     """
-    budget = budget or default_budget()
-    k, gens = _infer_arity(generators, target, arity)
-    eng = _Engine(algebra, k, target, budget)
-    eng.run(gens)
-    rel = Relation(algebra.size, k, eng.rows())
-    return rel, eng.answer()
+    eng = _run(algebra, generators, target, arity, budget)
+    return Relation(algebra.size, eng.K, eng.rows()), eng.answer()
 
 
 def membership(algebra: FiniteAlgebra, generators: Iterable,
                target: Sequence[int], *,
                budget: Optional[Budget] = None) -> MembershipAnswer:
     """Does the target lie in the subpower generated by the family?"""
-    budget = budget or default_budget()
-    k, gens = _infer_arity(generators, target, None)
-    eng = _Engine(algebra, k, target, budget)
-    eng.run(gens)
-    return eng.answer()
+    return _run(algebra, generators, target, None, budget).answer()

@@ -155,7 +155,7 @@ def test_criterion_08_general_decision():
     proj2 = FiniteAlgebra(2, (OperationTable("p1", 2, (0, 0, 1, 1)),
                               OperationTable("p2", 2, (0, 1, 0, 1))))
     for alg in (fixture("lattice2"), fixture("semilattice2"), join2, proj2):
-        forced = decide_cube_general(alg, use_idempotent_path=False)
+        forced = decide_cube_general(alg)
         assert forced.verdict == decide_cube_idempotent(alg).verdict
     _report(8, "general decision: nand, constant-0, forced-general agreement",
             t0, 300.0)

@@ -144,6 +144,14 @@ def test_gen_fixture_writes_loadable_file(capsys, tmp_path):
     assert rc == 0 and check["payload"]["valid"]
 
 
+def test_gen_fixture_beyond_max_size_is_input_error(capsys):
+    rc, result, _ = invoke(capsys, "gen", "fixture", "no_ops65536")
+    assert rc == 0 and result["payload"]["size"] == 65536
+    rc, result, err = invoke(capsys, "gen", "fixture", "no_ops70000")
+    assert rc == 2 and result is None
+    assert "universe size" in json.loads(err)["error"]
+
+
 def test_gen_quasigroup_and_tight(capsys):
     rc, result, _ = invoke(capsys, "gen", "quasigroup", "5")
     assert rc == 0 and result["payload"]["size"] == 5

@@ -301,25 +301,26 @@ def test_decide_general_constant3_capped():
 
 
 def test_decide_general_rejects_cap_below_one():
-    # checked before the idempotent routing
+    # decide_cube checks it before routing idempotent input
     for name in ("nand2", "semilattice2", "lattice2"):
         for cap in (0, -3):
-            with pytest.raises(ValueError, match="cap must be at least 1"):
-                decide_cube_general(fixture(name), cap=cap)
+            for decision in (decide_cube, decide_cube_general):
+                with pytest.raises(ValueError, match="cap must be at least 1"):
+                    decision(fixture(name), cap=cap)
     assert decide_cube_general(fixture("nand2"), cap=1).verdict == UNDECIDED
 
 
-def test_decide_general_delegates_idempotent():
-    assert decide_cube_general(fixture("semilattice2")).verdict == NO_CUBE
-    assert decide_cube_general(fixture("semilattice2")).blocker is not None
+def test_decide_cube_delegates_idempotent():
+    assert decide_cube(fixture("semilattice2")).verdict == NO_CUBE
+    assert decide_cube(fixture("semilattice2")).blocker is not None
 
 
 def test_force_general_matches_idempotent_path_fast_cases():
     lat = fixture("lattice2")
-    assert decide_cube_general(lat, use_idempotent_path=False).verdict == \
+    assert decide_cube_general(lat).verdict == \
         decide_cube_idempotent(lat).verdict
     q3 = idempotent_quasigroup(3)
-    assert decide_cube_general(q3, use_idempotent_path=False).verdict == \
+    assert decide_cube_general(q3).verdict == \
         decide_cube_idempotent(q3).verdict
 
 
@@ -399,7 +400,7 @@ def test_general_agrees_with_idempotent_on_random_binary_algebras():
         seen.add(key)
         assert is_idempotent(alg)
         fast = decide_cube_idempotent(alg).verdict
-        slow = decide_cube_general(alg, use_idempotent_path=False).verdict
+        slow = decide_cube_general(alg).verdict
         assert fast == slow
 
 

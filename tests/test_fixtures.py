@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from conftest import random_idempotent_algebra
+from cubeterm.algebra import MAX_SIZE
 from cubeterm import (
     BudgetExceededError,
     FiniteAlgebra,
@@ -18,6 +19,7 @@ from cubeterm import (
     is_elusive_witness,
     is_idempotent,
     mask_of,
+    no_ops,
     scan_clone_for,
     tight_example,
     validate,
@@ -33,6 +35,14 @@ def test_named_fixture_tables():
     assert fixture("no_ops3").operations == ()
     for name in ("lattice2", "semilattice2", "nand2", "constant3", "no_ops4"):
         assert validate(fixture(name)) == []
+
+
+def test_no_ops_size_range():
+    # sizes the engine supports, and nothing that `validate` would reject
+    assert validate(no_ops(MAX_SIZE)) == [] and no_ops(1).size == 1
+    for n in (0, MAX_SIZE + 1, 70000):
+        with pytest.raises(ValueError, match="universe size"):
+            no_ops(n)
 
 
 def test_unknown_fixture():

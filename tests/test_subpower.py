@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -124,8 +125,8 @@ def test_out_of_memory_truncates(monkeypatch):
     monkeypatch.setattr(subpower, "np", StarvedNumpy(2000))
     rel, ans = generate(fixture("lattice2"), gens)
     assert ans.truncated and len(rel) == 0
-    monkeypatch.setattr(subpower, "GENERATOR_CHUNK", 512)
-    rel, ans = generate(fixture("lattice2"), gens, budget=Budget(dense_limit=1))
+    blocks = [block[i:i + 512] for block in gens for i in range(0, len(block), 512)]
+    rel, ans = generate(fixture("lattice2"), blocks, budget=Budget(dense_limit=1))
     assert ans.truncated and 512 <= len(rel) <= 1024
 
 
@@ -143,6 +144,10 @@ def test_found_before_truncation_wins():
     ans = membership(fixture("lattice2"), [(0, 1), (1, 0)], (0, 1),
                      budget=budget)
     assert ans.found and not ans.truncated
+    # the target comes in the first block, the cap is passed in the second
+    blocks = [np.array([(0, 1)]), np.array([(1, 0), (0, 0), (1, 1)])]
+    ans = membership(fixture("lattice2"), blocks, (0, 1), budget=budget)
+    assert ans.found and ans.witness_depth == 0 and not ans.truncated
 
 
 def engine_run(alg, gens, k, target=None, budget=None):
@@ -303,9 +308,20 @@ def test_code_space_of_exactly_2_to_the_62():
         check_keys_like_codes(rng, n, k)
 
 
-def test_blocks_and_tuples_give_identical_runs(monkeypatch):
-    # the same generator rows fed as mix_family blocks or as plain tuples
-    # must close in the same chunks: same answers, same partial relations
+def _feeds(a, b, prefix=(), sizes=(1, 1000, 4095, 4097)):
+    """The rows of mix_family(a, b, prefix) fed as tuples, as one array, as
+    mix_family's own blocks and as blocks of each of the sizes."""
+    rows = np.vstack(list(mix_family(a, b, prefix)))
+    yield [tuple(row) for row in rows.tolist()]
+    yield [rows]
+    yield mix_family(a, b, prefix)
+    for size in sizes:
+        yield (rows[i:i + size] for i in range(0, len(rows), size))
+
+
+def test_blocks_and_tuples_give_identical_runs():
+    # however the generator rows are blocked, the run is the same: same
+    # answers (closure size and witness depth included), same relations
     rng = random.Random(23)
     cases = [(fixture("lattice2"), (1,) * 4, (0,) * 4, ()),
              (fixture("constant3"), (1,) * 4, (2,) * 4, (0, 1, 2)),
@@ -317,27 +333,35 @@ def test_blocks_and_tuples_give_identical_runs(monkeypatch):
                       tuple(rng.randrange(n) for _ in range(k)),
                       tuple(rng.randrange(n) for _ in range(k)), ()))
     for alg, a, b, prefix in cases:
-        rows = [tuple(int(v) for v in row) for block in mix_family(a, b, prefix)
-                for row in block]
         target = tuple(prefix) + tuple(a)
-        for chunk in (1, 3, 4096):
-            monkeypatch.setattr(subpower, "GENERATOR_CHUNK", chunk)
-            assert (membership(alg, mix_family(a, b, prefix), target)
-                    == membership(alg, rows, target))
-            assert generate(alg, mix_family(a, b, prefix)) == generate(alg, rows)
+        answers = [membership(alg, gens, target) for gens in _feeds(a, b, prefix)]
+        assert all(ans == answers[0] for ans in answers)
+        runs = [generate(alg, gens) for gens in _feeds(a, b, prefix)]
+        assert all(run == runs[0] for run in runs)
 
 
-def test_generator_chunks_span_several_blocks(monkeypatch):
+def test_generator_chunks_span_several_blocks():
     # 2**13 - 1 masks on 13 differing coordinates, then a itself: the
-    # family arrives as blocks of 4095, 4096 and 1 rows and is re-cut into
-    # chunks that split and join those blocks
+    # family arrives as blocks of 4095, 4096 and 1 rows, and blockings
+    # that split and join those blocks give the same run
     alg = fixture("semilattice2")
     a, b = (1,) * 14, (0,) * 13 + (1,)
     assert [len(block) for block in mix_family(a, b)] == [4095, 4096, 1]
-    rows = [tuple(int(v) for v in row) for block in mix_family(a, b) for row in block]
-    for chunk in (1000, 4095, 4097):
-        monkeypatch.setattr(subpower, "GENERATOR_CHUNK", chunk)
-        assert generate(alg, mix_family(a, b), target=a) == generate(alg, rows, target=a)
+    runs = [generate(alg, gens, target=a) for gens in _feeds(a, b, sizes=(1000, 4095, 4097))]
+    assert runs[0][1].found and all(run == runs[0] for run in runs)
+
+
+def test_witness_depth_is_breadth_first():
+    # on {0,1,2}, f(x, y) = 2 iff (x, y) = (0, 1), and x otherwise: the
+    # target 2**13 is f(0**13, 1**13), one round away from the generators,
+    # however many generators come before 1**13
+    table = tuple(2 if (x, y) == (0, 1) else x for x in range(3) for y in range(3))
+    alg = FiniteAlgebra(3, (OperationTable("f", 2, table),))
+    ones = (1,) * 13
+    gens = [t for t in itertools.product((0, 1), repeat=13) if t != ones][:5000] + [ones]
+    for feed in (gens, [np.array(gens)], [np.array(gens[i:i + 1000]) for i in range(0, 5001, 1000)]):
+        ans = membership(alg, feed, (2,) * 13)
+        assert ans.found and ans.witness_depth == 1
 
 
 @st.composite
