@@ -9,16 +9,16 @@ means element i is in the set).
 Every evaluation of operations over many arguments goes through one kernel:
 `_evaluate` applies a compiled operation to broadcastable argument arrays,
 and `_product` feeds it the cartesian products of argument stores in
-chunks.  `is_subuniverse`, the blocker absorption check, the compatibility
-scan and the subpower closure engine all use it.  So does `close_codes`,
-which closes many sets of codes of A**d at once (fed by `_ragged_product`,
-which numbers every row's own argument combinations in one sequence):
-the pointwise cube checks call it per block of patterns, and `sg_many`
-and `sg` are its d = 1 case.
+chunks.  `is_subuniverse`, the compatibility scan and the subpower closure
+engine use it.  `_ragged_product` numbers every row's own argument
+combinations in one sequence.  It feeds `close_codes`, which closes many
+sets of codes of A**d at once (per block of patterns in the pointwise cube
+checks, at d = 1 in `sg_many` and `sg`), and `blockers.verify_blockers`.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from dataclasses import dataclass
@@ -403,6 +403,12 @@ class _RowSets:
         self.elems = np.nonzero(matrix)[1]
         self.starts = np.cumsum(self.counts) - self.counts
 
+    def only(self, keep: np.ndarray) -> "_RowSets":
+        """The same rows, those outside the bool array `keep` emptied."""
+        out = copy.copy(self)
+        out.counts = np.where(keep, self.counts, 0)
+        return out
+
 
 def _ragged_product(op: _Op, stores, cells: int = KERNEL_CELLS,
                     digits: Optional[np.ndarray] = None):
@@ -439,6 +445,15 @@ def _ragged_product(op: _Op, stores, cells: int = KERNEL_CELLS,
             keep = args[1] <= args[0]
             rows, args = rows[keep], [a[keep] for a in args]
         yield rows, _evaluate(op, args) if digits is None else _code_values(op, args, digits)
+
+
+def _escapes(op: _Op, stores, inside: np.ndarray) -> np.ndarray:
+    """Rows with a value of op over their own stores (`_ragged_product`)
+    outside their row of the bool matrix `inside`."""
+    out = np.zeros(len(inside), dtype=bool)
+    for rows, values in _ragged_product(op, stores):
+        out[rows[~inside[rows, values]]] = True
+    return out
 
 
 def _code_blocks(ops, new, old=None, every=None):
@@ -506,6 +521,14 @@ def close_codes(algebra: FiniteAlgebra, d: int, gens: np.ndarray, targets=None, 
         new = hit & ~every
 
 
+def mask_matrix(masks, n: int) -> np.ndarray:
+    """The (masks x n) bool membership matrix of bitmasks below 2**n."""
+    width = (n + 7) // 8
+    octets = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
+    return np.unpackbits(octets.reshape(len(masks), width), axis=1, count=n,
+                         bitorder="little").astype(bool)
+
+
 def sg_many(algebra: FiniteAlgebra, seeds) -> list[int]:
     """Subuniverses generated by many seed sets at once, as bitmasks:
     `close_codes` at d = 1 on the (seeds x n) membership matrix.  Sg({})
@@ -514,10 +537,7 @@ def sg_many(algebra: FiniteAlgebra, seeds) -> list[int]:
     masks = [_as_mask(s) for s in seeds]
     if any(m < 0 or m >> n for m in masks):
         raise ValueError("seed contains elements outside the universe")
-    width = (n + 7) // 8
-    octets = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
-    gens = np.unpackbits(octets.reshape(len(masks), width), axis=1, count=n,
-                         bitorder="little").astype(bool)
+    gens = mask_matrix(masks, n)
     packed = np.packbits(close_codes(algebra, 1, gens)[0], axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 

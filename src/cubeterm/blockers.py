@@ -5,6 +5,7 @@ operation has an "absorbing" coordinate j: plugging any element of C into
 position j and elements of D elsewhere always lands back in C.  An
 idempotent algebra has a cube term exactly when it has no blocker, so a
 blocker is a finite certificate that no cube term of any dimension exists.
+`find_blocker` batches its pair closures (`sg_many`) and checks (`verify_blockers`).
 """
 
 from __future__ import annotations
@@ -15,16 +16,18 @@ from typing import Optional
 import numpy as np
 
 from .algebra import (
+    KERNEL_CELLS,
     FiniteAlgebra,
     _as_mask,
-    _Op,
-    _product,
+    _escapes,
+    _RowSets,
     enumerate_subuniverses,
     full_mask,
     is_idempotent,
-    is_subuniverse,
+    is_subuniverse,  # noqa: F401 - kept as blockers.is_subuniverse, like sg
     mask_elements,
     mask_from_json,
+    mask_matrix,
     sg,  # noqa: F401 - kept as blockers.sg for callers that wrap it by name
     sg_many,
 )
@@ -53,36 +56,42 @@ def _require_idempotent(algebra: FiniteAlgebra) -> None:
         raise ValueError("blocker machinery only applies to idempotent algebras")
 
 
-def _absorbs(op: _Op, j: int, in_c: np.ndarray, c_elems: np.ndarray,
-             d_elems: np.ndarray) -> bool:
-    """Does f(D, .., D, C at j, D, .., D) stay inside C?"""
-    stores = [d_elems] * op.arity
-    stores[j] = c_elems
-    return all(in_c[values].all() for values in _product(op, stores))
+def verify_blockers(algebra: FiniteAlgebra, pairs) -> np.ndarray:
+    """`verify_blocker` of many (C, D) pairs at once, as a bool array.
+
+    Each operation's passes run over `_ragged_product` on the C and D
+    matrices of the rows not yet failed.  C needs no closure pass: an
+    absorbing coordinate maps C x .. x C into C, as C lies in D.
+    """
+    _require_idempotent(algebra)
+    n = algebra.size
+    masks = [(_as_mask(c), _as_mask(d)) for c, d in pairs]
+    ok = np.array([0 != c != d and not (c & ~d or d >> n) for c, d in masks], dtype=bool)
+    picked = np.flatnonzero(ok)
+    c_in, d_in = (mask_matrix([masks[r][i] for r in picked], n) for i in (0, 1))
+    c_sets, d_sets = _RowSets(c_in), _RowSets(d_in)
+    good, proper = np.ones(len(picked), dtype=bool), ~d_in.all(axis=1)
+    for op in algebra.compiled.ops:
+        if (good & proper).any():
+            good &= ~_escapes(op, [d_sets.only(good & proper)] * op.arity, d_in)
+        absorbs = ~good
+        for j in range(1 if op.symmetric else op.arity):
+            if absorbs.all():
+                break
+            stores = [c_sets.only(~absorbs) if i == j else d_sets for i in range(op.arity)]
+            absorbs |= ~_escapes(op, stores, c_in)
+        good &= absorbs
+    ok[picked] = good
+    return ok
 
 
 def verify_blocker(algebra: FiniteAlgebra, C, D) -> bool:
     """Is (C, D) a cube term blocker for the (idempotent) algebra?
 
     Checks {} != C < D, that both are subuniverses, and then that every
-    basic operation has an absorbing coordinate.  Invalid pairs yield
-    False; a non-idempotent algebra is an error.
-    """
-    _require_idempotent(algebra)
-    c_mask, d_mask = _as_mask(C), _as_mask(D)
-    universe = full_mask(algebra.size)
-    if c_mask == 0 or c_mask == d_mask or c_mask & ~d_mask or d_mask & ~universe:
-        return False
-    if not is_subuniverse(algebra, c_mask) or not is_subuniverse(algebra, d_mask):
-        return False
-    c_elems = np.array(mask_elements(c_mask), dtype=np.intp)
-    d_elems = np.array(mask_elements(d_mask), dtype=np.intp)
-    in_c = np.zeros(algebra.size, dtype=bool)
-    in_c[c_elems] = True
-    return all(
-        any(_absorbs(op, j, in_c, c_elems, d_elems) for j in range(op.arity))
-        for op in algebra.compiled.ops
-    )
+    basic operation has an absorbing coordinate, as `verify_blockers`' one
+    row.  Invalid pairs yield False; a non-idempotent algebra is an error."""
+    return bool(verify_blockers(algebra, [(C, D)])[0])
 
 
 def find_blocker(algebra: FiniteAlgebra) -> Optional[Blocker]:
@@ -95,28 +104,35 @@ def find_blocker(algebra: FiniteAlgebra) -> Optional[Blocker]:
     found" proves a cube term exists.
 
     Among incomparable inclusion-minimal choices of Sg(c, d) the smallest d
-    wins, making runs reproducible; the for-loop returns the blocker found
-    at the smallest c.  Each Sg({c, d}) is computed once per unordered
-    pair, in one `sg_many` batch per start element.
+    wins, making runs reproducible; the first blocker of the smallest c's
+    chain is returned.  Sg({c, d}) is computed once, in `sg_many` batches
+    of whole starts c (pairs d > c): start 0's, then up to KERNEL_CELLS
+    generator cells each.  Each batch's chains take one `verify_blockers`.
     """
     _require_idempotent(algebra)
     n = algebra.size
-    universe = full_mask(n)
     pair_sg: dict[int, int] = {}  # seed mask {c, d} -> Sg({c, d})
-    for c in range(n):
-        seed = {d: (1 << c) | (1 << d) for d in range(n) if d != c}
-        todo = [s for s in seed.values() if s not in pair_sg]
-        pair_sg.update(zip(todo, sg_many(algebra, todo)))
-        s_mask = 1 << c
-        while s_mask != universe:
-            gens = [pair_sg[seed[d]] for d in range(n) if not s_mask >> d & 1]
-            # the inclusion-minimal Sg({c, d}) of the smallest d
-            d_mask = next(gen for gen in gens
-                          if not any(g != gen and g & ~gen == 0 for g in gens))
-            c_mask = s_mask & d_mask
-            if verify_blocker(algebra, c_mask, d_mask):
-                return Blocker(c_mask, d_mask)
-            s_mask |= d_mask
+    hi = 0
+    while hi < n:
+        lo, hi, cells = hi, hi + 1, (n - 1 - hi) * n
+        while hi < n and cells + (n - 1 - hi) * n <= (KERNEL_CELLS if lo else cells):
+            cells += (n - 1 - hi) * n
+            hi += 1
+        seeds = [(1 << c) | (1 << d) for c in range(lo, hi) for d in range(c + 1, n)]
+        pair_sg.update(zip(seeds, sg_many(algebra, seeds)))
+        chains = []
+        for c in range(lo, hi):
+            s_mask = 1 << c
+            while s_mask != full_mask(n):
+                gens = [pair_sg[1 << c | 1 << d] for d in range(n) if not s_mask >> d & 1]
+                # the inclusion-minimal Sg({c, d}) of the smallest d
+                d_mask = next(gen for gen in gens
+                              if not any(g != gen and g & ~gen == 0 for g in gens))
+                chains.append((s_mask & d_mask, d_mask))
+                s_mask |= d_mask
+        hits = verify_blockers(algebra, chains)
+        if hits.any():
+            return Blocker(*chains[int(hits.argmax())])
     return None
 
 

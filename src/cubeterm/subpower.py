@@ -44,7 +44,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from itertools import chain, groupby
+from itertools import chain, groupby, islice
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -55,6 +55,9 @@ from .relations import INT64_CODES, Relation, _digit_rows, _in_sorted, _keys
 
 #: Largest code space held as a dense bool array (2**26 codes = 64 MiB).
 DENSE_CODE_LIMIT = 1 << 26
+
+#: Most single tuples in one generator block, the budget checked after each.
+TUPLE_BLOCK = 1 << 12
 
 
 @dataclass
@@ -282,9 +285,10 @@ def _is_block(item) -> bool:
 
 def _row_blocks(items: Iterable) -> Iterator[np.ndarray]:
     """The generator rows as 2-D blocks: blocks pass through as they
-    arrive, and each run of single tuples becomes one block."""
+    arrive, and runs of single tuples are cut into blocks of TUPLE_BLOCK."""
     for is_block, run in groupby(items, _is_block):
-        yield from run if is_block else [np.asarray(list(run))]
+        for block in run if is_block else iter(lambda: list(islice(run, TUPLE_BLOCK)), []):
+            yield np.asarray(block)
 
 
 def _infer_arity(generators, target, arity):

@@ -133,6 +133,31 @@ def brute_force_is_blocker(algebra: FiniteAlgebra, c: set[int], d: set[int]) -> 
     return True
 
 
+def brute_force_find_blocker(algebra: FiniteAlgebra):
+    """Reference of the documented sequential blocker search, from the
+    tables alone: for c = 0, 1, .. grow S from {c}, each step taking the
+    inclusion-minimal Sg({c, d}) of the smallest d outside S and testing
+    (S & Sg({c, d}), Sg({c, d})).  Returns (c, C, D) of the first blocker
+    tested, or None."""
+    n = algebra.size
+    pair_sg = {}
+    for c in range(n):
+        s = {c}
+        while len(s) < n:
+            gens = []
+            for d in range(n):
+                if d not in s:
+                    key = frozenset((c, d))
+                    if key not in pair_sg:
+                        pair_sg[key] = frozenset(brute_force_closure(algebra, set(key)))
+                    gens.append(pair_sg[key])
+            d_set = next(g for g in gens if not any(h < g for h in gens))
+            if brute_force_is_blocker(algebra, s & d_set, set(d_set)):
+                return c, s & d_set, set(d_set)
+            s |= d_set
+    return None
+
+
 class StarvedNumpy:
     """numpy whose `zeros` and `empty` raise MemoryError above `limit` cells.
 

@@ -4,7 +4,12 @@ from itertools import product
 
 import pytest
 
-from conftest import brute_force_closure, brute_force_is_blocker, random_idempotent_algebra
+from conftest import (
+    brute_force_closure,
+    brute_force_find_blocker,
+    brute_force_is_blocker,
+    random_idempotent_algebra,
+)
 from cubeterm import (
     Blocker,
     ChippedCubeSpec,
@@ -22,6 +27,8 @@ from cubeterm import (
     mask_of,
     verify_blocker,
 )
+from cubeterm import blockers
+from cubeterm.blockers import verify_blockers
 
 C0 = mask_of([0])
 ALL2 = mask_of([0, 1])
@@ -99,9 +106,12 @@ def test_verify_blocker_matches_table_oracle():
                     if brute_force_closure(alg, set(mask_elements(m))) == set(mask_elements(m))]
             pairs = [(c, d) for d in subs for c in subs if c != d and c & ~d == 0]
             pairs += [(rng.randrange(1, 1 << n), rng.randrange(1, 1 << n)) for _ in range(20)]
-            for c, d in pairs:
-                want = brute_force_is_blocker(alg, set(mask_elements(c)), set(mask_elements(d)))
+            wants = [brute_force_is_blocker(alg, set(mask_elements(c)), set(mask_elements(d)))
+                     for c, d in pairs]
+            for (c, d), want in zip(pairs, wants):
                 assert verify_blocker(alg, c, d) == want, (alg, c, d)
+            # the same pairs in one batched call, row by row
+            assert verify_blockers(alg, pairs).tolist() == wants, alg
 
 
 def test_search_and_algorithm_agree_on_random_sample():
@@ -127,6 +137,61 @@ def test_find_blocker_matches_exhaustive_search_and_table_oracle():
         if fast is not None:
             assert brute_force_is_blocker(
                 alg, set(mask_elements(fast.C)), set(mask_elements(fast.D))), alg
+
+
+def test_verify_blockers_shapes_and_empty_batch():
+    semi = fixture("semilattice2")
+    assert verify_blockers(semi, []).tolist() == []
+    pairs = [(C0, ALL2), (ALL2, ALL2), (0, ALL2), (C0, 1 << 2), (-1, ALL2), ([0], [0, 1])]
+    assert verify_blockers(semi, pairs).tolist() == [True, False, False, False, False, True]
+    with pytest.raises(ValueError):
+        verify_blockers(fixture("nand2"), [(C0, ALL2)])
+
+
+def test_find_blocker_matches_sequential_table_reference():
+    # 320 seeded idempotent algebras, n = 2..12, one to three operations
+    # of arity 1 to 3: the batched search returns the blocker of the
+    # documented one-start-at-a-time search, step for step
+    rng = random.Random(67)
+    starts = []
+    for _ in range(320):
+        n = rng.randint(2, 12)
+        arities = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+        alg = random_idempotent_algebra(rng, n, arities)
+        want = brute_force_find_blocker(alg)
+        got = find_blocker(alg)
+        if want is None:
+            assert got is None, alg
+        else:
+            start, c, d = want
+            assert got == Blocker(mask_of(c), mask_of(d)), alg
+            starts.append(start)
+    assert len(starts) >= 100 and sum(s > 0 for s in starts) >= 30
+
+
+def test_find_blocker_batches_stay_within_the_cell_cap(monkeypatch):
+    # with a tiny cap every batch after the first holds one start's pairs;
+    # with a cap of 60 cells the later batches take whole starts up to it
+    rng = random.Random(71)
+    algs = [random_idempotent_algebra(rng, n, [2]) for n in (5, 7, 9, 9, 12)]
+    algs += [idempotent_quasigroup(7), fixture("semilattice2")]
+    wants = [find_blocker(alg) for alg in algs]
+    batches = []
+
+    def recording(algebra, seeds):
+        batches.append((algebra.size, len(seeds)))
+        return sg_many(algebra, seeds)
+
+    sg_many = blockers.sg_many
+    monkeypatch.setattr(blockers, "sg_many", recording)
+    for cap in (1, 60):
+        monkeypatch.setattr(blockers, "KERNEL_CELLS", cap)
+        batches.clear()
+        assert [find_blocker(alg) for alg in algs] == wants
+        assert all(rows * n <= max(cap, (n - 1) * n) for n, rows in batches)
+        # cap 1: one start's pairs per batch; cap 60: the quasigroup of
+        # order 7 closes the 7 pairs of starts 2 and 3 in one batch
+        assert any(rows > n - 1 for n, rows in batches) == (cap == 60)
 
 
 def test_find_blocker_on_a_256_element_chain():

@@ -118,6 +118,17 @@ def test_explicit_truncation():
     assert ans.truncated and not ans.found
 
 
+def test_lazy_tuple_stream_meets_the_budget_block_by_block():
+    # 2**17 single tuples arrive lazily; they are cut into blocks of 4096,
+    # so a cap of 1000 members stops the run after the first block and
+    # leaves the rest of the stream unread
+    stream = ((0,) + t for t in itertools.product((0, 1), repeat=17))
+    ans = membership(fixture("semilattice2"), stream, (1,) * 18,
+                     budget=Budget(max_members=1000))
+    assert ans.truncated and not ans.found and ans.closure_size == 4096
+    assert len(list(stream)) == (1 << 17) - 4096
+
+
 def test_out_of_memory_truncates(monkeypatch):
     # the dense bitset over 2**12 codes, then the member store's growth
     # past 1024 codes, cannot be allocated: both end the run as truncated
