@@ -5,37 +5,47 @@ subuniverse of A**K spanned by a (possibly streamed) family of generator
 tuples, optionally watching for one target tuple and stopping once it
 appears.
 
-The generators (a stream of 2-D row blocks, as `relations.mix_family`
-yields them, or of single tuples) are absorbed first, then the closure runs
+One closure core (`_Engine`) runs every query, and an expander says what
+its members are and makes their candidates.  `_Tuples` makes the members
+the tuples themselves (`generate`, `membership`); `orbits._Orbits` makes
+them the S_d-orbits of a subpower that every permutation of its last d
+coordinates preserves (`orbits.orbit_membership`, the general cube
+decision's pair queries).
+
+The core absorbs the generators (a stream of 2-D row blocks, as
+`relations.mix_family` yields them, or of single rows) first, then closes
 breadth-first with a frontier: each round applies every basic operation
 only to argument tuples touching at least one member added since the
 previous round, so no argument tuple is evaluated twice, and the rounds
 end when one adds nothing.  Unless the budget cuts a run off (it is checked
-after each generator block), how the stream is blocked changes neither
-the members, nor their order, nor the depth at which a target appears.
+after each generator block and each chunk of candidates), how the stream
+is blocked changes neither the members, nor their order, nor the depth at
+which a target appears.  A target found is never reported as truncated,
+and a `MemoryError` ends a run as truncated.
+
+Members are deduplicated by their keys, for tuples the `relations._keys`
+of `Relation`: int64 tuple codes while n**K <= 2**62, big-endian bytes
+keys beyond.  The keys seen so far go in a dense bitset, one byte per
+code, while the key space is at most `Budget.dense_limit` and the keys are
+int64, and otherwise in sorted key runs: each chunk's fresh keys are
+appended as a run, merged with the previous run while that is at most
+twice as long (log-structured merging, after O'Neil et al., "The
+log-structured merge-tree", 1996).  Either way fresh members are appended
+in first-occurrence order.
 
 Operations come from the algebra's compiled form (`FiniteAlgebra.compiled`,
 built once per algebra and shared by every query): numpy tables in the
 element dtype, projections and duplicate operations dropped, a flag for
 symmetric binary operations and, on two-element universes, each
-operation's bitwise formula.  Every candidate member is produced by the
-evaluation kernel of `algebra` (`_product` over `_evaluate`), one chunk of
-`KERNEL_CELLS` cells of argument combinations at a time.  A symmetric
-binary operation is applied to unordered pairs only, which halves the work
-of the saturating two-element closures.
-
-Members are deduplicated by their `relations._keys`, as in `Relation`:
-int64 tuple codes while n**K <= 2**62, big-endian bytes keys beyond.  The
-keys seen so far go in a dense bitset, one byte per code, while n**K is
-at most `Budget.dense_limit` and the keys are int64, and otherwise in
-sorted key runs: each chunk's fresh keys are appended as a run, merged
-with the previous run while that is at most twice as long (log-structured
-merging, after O'Neil et al., "The log-structured merge-tree", 1996).
-Either way fresh members are appended in first-occurrence order.  With
-int64 keys a two-element universe keeps its members as K-bit codes, which
-are their keys, and evaluates the bitwise formulas on them, so no digit
-matrix is ever built; every other case keeps digit rows and looks values
-up in the tables.
+operation's bitwise formula.  The tuple expander produces every candidate
+with the evaluation kernel of `algebra` (`_product` over `_evaluate`), one
+chunk of `KERNEL_CELLS` cells of argument combinations at a time, and
+applies a symmetric binary operation to unordered pairs only, which halves
+the work of the saturating two-element closures.  With int64 keys a
+two-element universe keeps its members as K-bit codes, which are their
+keys, and evaluates the bitwise formulas on them, so no digit matrix is
+ever built; every other case keeps digit rows and looks values up in the
+tables.
 """
 
 from __future__ import annotations
@@ -64,11 +74,12 @@ TUPLE_BLOCK = 1 << 12
 class Budget:
     """The run caps of one closure run.
 
-    max_members caps how many tuples the closure may hold; max_seconds is
+    max_members caps how many members the closure may hold: tuples, or on
+    the orbit path (`orbits.orbit_membership`) stored orbits.  max_seconds is
     wall-clock.  Hitting either, or running out of memory, stops the run
     with truncated=True rather than returning a wrong answer.  dense_limit
-    is the largest code space (up to 2**62) whose seen keys are kept as a
-    dense bool array, one byte per code; larger ones use sorted key runs.
+    is the largest key space (up to 2**62) whose seen keys are kept as a
+    dense bool array, one byte per key; larger ones use sorted key runs.
     The kernel's chunk size is the module constant `KERNEL_CELLS`, not a
     cap.
     """
@@ -94,10 +105,12 @@ def default_budget() -> Budget:
 class MembershipAnswer:
     """Outcome of a generate/membership run.
 
-    witness_depth is the breadth-first round at which the target appeared
-    (0 = it was a generator).  A found target is never reported as
-    truncated, even when the budget ran out while later generators were
-    being absorbed.
+    closure_size counts the tuples held, on the orbit path too, where it is
+    the sum of the stored orbits' sizes (so it may exceed
+    `Budget.max_members`, which caps orbits there).  witness_depth is the
+    breadth-first round at which the target appeared (0 = it was a
+    generator).  A found target is never reported as truncated, even when
+    the budget ran out while later generators were being absorbed.
     """
 
     found: bool
@@ -107,26 +120,26 @@ class MembershipAnswer:
 
 
 # ---------------------------------------------------------------------------
-# the engine
+# the core
 # ---------------------------------------------------------------------------
 
 class _Engine:
-    def __init__(self, algebra: FiniteAlgebra, arity: int, target, budget: Budget):
-        n = algebra.size
-        compiled = algebra.compiled
-        self.n = n
-        self.K = arity
-        self.budget = budget
-        self.ops = compiled.ops
-        self.dtype = compiled.dtype
-        # members are K-bit codes on two elements while they fit int64, else rows
-        self.mask = (1 << arity) - 1 if n == 2 and n ** arity <= INT64_CODES else None
+    """The closure core: member store, dedup, frontier rounds and budget.
 
+    The expander (`_Tuples` or `orbits._Orbits`) says what a member is: it turns
+    generator blocks into members, keys members, makes each round's
+    candidates from the store and counts the tuples the members stand for.
+    """
+
+    def __init__(self, expander, target, budget: Budget):
+        self.ex = expander
+        self.budget = budget
         self.count = 0
-        self.store = (np.empty(1024, np.int64) if self.mask is not None
-                      else np.empty((1024, arity), self.dtype))
+        self.store = np.empty((0,) + expander.row_shape, expander.dtype)  # grown in `run`
         self.runs: list[np.ndarray] = []  # sorted key runs; `run` may make a bitset
-        self.target_key = None if target is None else _keys(_digit_rows([target], arity, n), n)[0]
+        self.known_bits: Optional[np.ndarray] = None
+        self.target_key = None if target is None else \
+            expander.keys(expander.members(np.array([target])))[0]
         self.found = False
         self.found_depth: Optional[int] = None
         self.truncated = False
@@ -138,7 +151,7 @@ class _Engine:
         need = self.count + extra
         if need <= self.store.shape[0]:
             return
-        cap = 1 << (need - 1).bit_length()  # a power of two: 2**k members fit exactly
+        cap = max(1024, 1 << (need - 1).bit_length())  # a power of two: 2**k members fit exactly
         grown = np.empty((cap,) + self.store.shape[1:], dtype=self.store.dtype)
         grown[: self.count] = self.store[: self.count]
         self.store = grown
@@ -158,14 +171,13 @@ class _Engine:
     # -- dedup + append ----------------------------------------------------
 
     def absorb(self, cands: np.ndarray, depth: int) -> None:
-        """Add the new ones among candidate codes (bit mode) or rows.
+        """Add the new ones among the candidate members.
 
-        Candidates are deduplicated by their `_keys`, which in bit mode
-        are the codes themselves.  A key is new when the dense bitset lacks
-        it or no sorted run holds it; fresh members are appended in the
-        order of their first occurrence.
+        Candidates are deduplicated by the expander's keys.  A key is new
+        when the dense bitset lacks it or no sorted run holds it; fresh
+        members are appended in the order of their first occurrence.
         """
-        keys = cands if self.mask is not None else _keys(cands, self.n)
+        keys = self.ex.keys(cands)
         if self.known_bits is not None:
             fresh = (~self.known_bits[keys]).nonzero()[0]
             if not len(fresh):
@@ -196,62 +208,27 @@ class _Engine:
             keys = np.sort(np.concatenate((self.runs.pop(), keys)), kind="stable")
         self.runs.append(keys)
 
-    def insert_rows(self, rows: np.ndarray) -> None:
-        """Add a block of generator rows (depth 0)."""
-        rows = _digit_rows(rows, self.K, self.n)
-        self.absorb(rows if self.mask is None else _keys(rows, 2), 0)
-
-    # -- one frontier round --------------------------------------------------
-
-    def _chunks(self, op: _Op, f_lo: int, f_hi: int) -> Iterator[np.ndarray]:
-        """Candidates from op in this round, one kernel chunk at a time."""
-        if op.symmetric:
-            return self._pairs(op, f_lo, f_hi)
-        store = self.store
-        return chain.from_iterable(
-            _product(op, stores, self.mask, KERNEL_CELLS)
-            for stores in _frontier(op.arity, store[:f_lo], store[f_lo:f_hi], store[:f_hi]))
-
-    def _pairs(self, op: _Op, f_lo: int, f_hi: int) -> Iterator[np.ndarray]:
-        """Symmetric binary op on each unordered pair {i, j} with i in the
-        frontier and j <= i, once.
-
-        The frontier goes in row blocks [a, b): a rectangle against all
-        members before a, then the triangle j <= i inside the block.
-        """
-        store, cells = self.store, KERNEL_CELLS
-        side = max(1, math.isqrt(cells // (1 if self.mask is not None else self.K)))
-        for a in range(f_lo, f_hi, side):
-            b = min(f_hi, a + side)
-            yield from _product(op, [store[a:b], store[:a]], self.mask, cells)
-            square = _evaluate(op, [store[a:b, None], store[None, a:b]], self.mask)
-            yield square[np.tri(b - a, dtype=bool)]
-
-    def close_round(self, f_lo: int, f_hi: int, depth: int) -> None:
-        for op in self.ops:
-            for chunk in self._chunks(op, f_lo, f_hi):
-                self.absorb(chunk, depth)
-                if self.found or self._over_budget():
-                    return
-
     # -- main loop -----------------------------------------------------------
 
     def run(self, gens: Iterable) -> None:
         """Absorb the generator blocks, then close round by round until a
         round adds nothing; a MemoryError ends the run as truncated."""
         try:
-            space = self.n ** self.K  # the bitset is indexed by int64 keys
-            dense = space <= min(self.budget.dense_limit, INT64_CODES)
-            self.known_bits = np.zeros(space, bool) if dense else None
+            space = self.ex.space  # the bitset is indexed by int64 keys
+            if space <= min(self.budget.dense_limit, INT64_CODES):
+                self.known_bits = np.zeros(space, bool)
             for block in _row_blocks(gens):
-                self.insert_rows(block)
+                self.absorb(self.ex.members(block), 0)
                 if self._over_budget():
                     return
             f_lo = depth = 0
             while f_lo < self.count and not (self.found or self.truncated):
                 depth += 1
                 f_hi = self.count
-                self.close_round(f_lo, f_hi, depth)
+                for chunk in self.ex.candidates(self.store, f_lo, f_hi):
+                    self.absorb(chunk, depth)
+                    if self.found or self._over_budget():
+                        break
                 f_lo = f_hi
         except MemoryError:
             self.truncated = True
@@ -259,20 +236,81 @@ class _Engine:
     # -- output ----------------------------------------------------------------
 
     def rows(self) -> np.ndarray:
+        """The members as rows (tuple expander only)."""
+        return self.ex.rows(self.store[: self.count])
+
+    def answer(self) -> MembershipAnswer:
+        return MembershipAnswer(
+            found=self.found,
+            closure_size=self.ex.size(self.store[: self.count]),
+            witness_depth=self.found_depth,
+            truncated=self.truncated and not self.found,
+        )
+
+
+# ---------------------------------------------------------------------------
+# the tuple expander
+# ---------------------------------------------------------------------------
+
+class _Tuples:
+    """Members are the tuples of A**K: K-bit codes on two elements while
+    they fit int64, else digit rows.  Candidates come from the evaluation
+    kernel over the frontier blocks."""
+
+    def __init__(self, algebra: FiniteAlgebra, arity: int):
+        n = algebra.size
+        compiled = algebra.compiled
+        self.n = n
+        self.K = arity
+        self.ops = compiled.ops
+        self.space = n ** arity
+        # members are K-bit codes on two elements while they fit int64, else rows
+        self.mask = (1 << arity) - 1 if n == 2 and self.space <= INT64_CODES else None
+        self.row_shape = () if self.mask is not None else (arity,)
+        self.dtype = np.dtype(np.int64) if self.mask is not None else compiled.dtype
+
+    def keys(self, cands: np.ndarray) -> np.ndarray:
+        """The `_keys` of candidate rows; in bit mode the codes themselves."""
+        return cands if self.mask is not None else _keys(cands, self.n)
+
+    def members(self, block) -> np.ndarray:
+        """A block of generator rows as members."""
+        rows = _digit_rows(block, self.K, self.n)
+        return rows if self.mask is None else _keys(rows, 2)
+
+    def candidates(self, store: np.ndarray, f_lo: int, f_hi: int) -> Iterator[np.ndarray]:
+        """One round's candidates, one kernel chunk at a time."""
+        for op in self.ops:
+            if op.symmetric:
+                yield from self._pairs(op, store, f_lo, f_hi)
+                continue
+            for stores in _frontier(op.arity, store[:f_lo], store[f_lo:f_hi], store[:f_hi]):
+                yield from _product(op, stores, self.mask, KERNEL_CELLS)
+
+    def _pairs(self, op: _Op, store: np.ndarray, f_lo: int, f_hi: int) -> Iterator[np.ndarray]:
+        """Symmetric binary op on each unordered pair {i, j} with i in the
+        frontier and j <= i, once.
+
+        The frontier goes in row blocks [a, b): a rectangle against all
+        members before a, then the triangle j <= i inside the block.
+        """
+        cells = KERNEL_CELLS
+        side = max(1, math.isqrt(cells // (1 if self.mask is not None else self.K)))
+        for a in range(f_lo, f_hi, side):
+            b = min(f_hi, a + side)
+            yield from _product(op, [store[a:b], store[:a]], self.mask, cells)
+            square = _evaluate(op, [store[a:b, None], store[None, a:b]], self.mask)
+            yield square[np.tri(b - a, dtype=bool)]
+
+    def rows(self, members: np.ndarray) -> np.ndarray:
         """The members as rows; K-bit codes are unpacked to 0/1 rows."""
-        members = self.store[: self.count]
         if self.mask is None:
             return members
         octets = members.astype(">u8").view(np.uint8).reshape(-1, 8)
         return np.unpackbits(octets, axis=1)[:, 64 - self.K:]
 
-    def answer(self) -> MembershipAnswer:
-        return MembershipAnswer(
-            found=self.found,
-            closure_size=self.count,
-            witness_depth=self.found_depth,
-            truncated=self.truncated and not self.found,
-        )
+    def size(self, members: np.ndarray) -> int:
+        return len(members)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +349,7 @@ def _infer_arity(generators, target, arity):
 def _run(algebra: FiniteAlgebra, generators: Iterable, target, arity,
          budget: Optional[Budget]) -> _Engine:
     k, gens = _infer_arity(generators, target, arity)
-    eng = _Engine(algebra, k, target, budget or default_budget())
+    eng = _Engine(_Tuples(algebra, k), target, budget or default_budget())
     eng.run(gens)
     return eng
 
@@ -328,7 +366,7 @@ def generate(algebra: FiniteAlgebra, generators: Iterable, *,
     relation is then just the part of the closure built so far.
     """
     eng = _run(algebra, generators, target, arity, budget)
-    return Relation(algebra.size, eng.K, eng.rows()), eng.answer()
+    return Relation(algebra.size, eng.ex.K, eng.rows()), eng.answer()
 
 
 def membership(algebra: FiniteAlgebra, generators: Iterable,

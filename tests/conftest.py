@@ -158,6 +158,12 @@ def brute_force_find_blocker(algebra: FiniteAlgebra):
     return None
 
 
+def binary_constant3() -> FiniteAlgebra:
+    """({0,1,2}, c(x, y) = 2): constant3's clone, but with a binary
+    operation on three elements, so the general path asks tuple queries."""
+    return FiniteAlgebra(3, (OperationTable("c2", 2, (2,) * 9),))
+
+
 class StarvedNumpy:
     """numpy whose `zeros` and `empty` raise MemoryError above `limit` cells.
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import StarvedNumpy
+from conftest import StarvedNumpy, binary_constant3
 from cubeterm import decide_cube, fixture, subpower
 from cubeterm.cli import run
 
@@ -91,11 +91,22 @@ def test_decide_nu_cap_below_two_is_input_error(capsys, algebra_file):
         assert "cap must be at least 2" in err
 
 
-def test_out_of_memory_is_undecided(capsys, algebra_file, monkeypatch):
-    # general deepening to the full bound: once the engine cannot allocate,
-    # the run ends in an undecided envelope, not a traceback
+def test_constant3_full_bound_decides(capsys, algebra_file):
+    # the general path's orbit queries reach the full bound n**3 * m = 27
+    rc, result, _ = invoke(capsys, "decide-cube", algebra_file("constant3"))
+    assert rc == 0
+    assert result["payload"] == {"verdict": "no_cube_term", "dimension_bound": 27,
+                                 "failing_pair": [0, 1]}
+
+
+def test_out_of_memory_is_undecided(capsys, tmp_path, monkeypatch):
+    # general deepening to the full bound over tuples (a binary constant on
+    # three elements): once the engine cannot allocate, the run ends in an
+    # undecided envelope, not a traceback
+    path = tmp_path / "binary_constant3.json"
+    path.write_text(json.dumps(binary_constant3().to_json()))
     monkeypatch.setattr(subpower, "np", StarvedNumpy(1 << 18))
-    rc, result, err = invoke(capsys, "decide-cube", algebra_file("constant3"))
+    rc, result, err = invoke(capsys, "decide-cube", str(path))
     assert rc == 1
     assert result["payload"]["verdict"] == "undecided"
     assert "Traceback" not in err

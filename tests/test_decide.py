@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -12,6 +13,7 @@ from cubeterm import (
     Blocker,
     Budget,
     BudgetExceededError,
+    CubeDecision,
     FiniteAlgebra,
     MembershipAnswer,
     OperationTable,
@@ -300,6 +302,15 @@ def test_decide_general_constant3_capped():
     assert dec.failing_pair is not None
 
 
+def test_decide_general_constant3_full_bound():
+    # the orbit queries reach the full bound 27: every pair fails there,
+    # (0, 1) first, which certifies that no cube term exists
+    t0 = time.monotonic()
+    dec = decide_cube_general(fixture("constant3"))
+    assert time.monotonic() - t0 < 1.0
+    assert dec == CubeDecision(NO_CUBE, dimension_bound=27, failing_pair=(0, 1))
+
+
 def test_decide_general_rejects_cap_below_one():
     # decide_cube checks it before routing idempotent input
     for name in ("nand2", "semilattice2", "lattice2"):
@@ -441,3 +452,38 @@ def test_stacked_columns_match_per_column_rule(monkeypatch):
                 rows = [tuple(row) for block in blocks for row in block.tolist()]
                 assert (rows, target) == expected(n, d, selections)
             issued.clear()
+
+
+def test_general_path_routes_on_the_operations(monkeypatch):
+    # orbit queries where every compiled operation is unary, or on two
+    # elements with arities at most 2; tuple queries through `membership`
+    # everywhere else.  Each routed decision equals the tuple path's, which
+    # a stubbed routing rule forces here (expensive ones under a cap)
+    issued = []
+    tuple_query = decide.membership
+
+    def capture(*args, **kwargs):
+        issued.append(args[0])
+        return tuple_query(*args, **kwargs)
+
+    monkeypatch.setattr(decide, "membership", capture)
+    assert decide_cube_general(idempotent_quasigroup(3)).verdict == HAS_CUBE and issued
+    neg2 = FiniteAlgebra(2, (OperationTable("neg", 1, (1, 0)),))
+    join2 = FiniteAlgebra(2, (OperationTable("join", 2, (0, 1, 1, 1)),))
+    proj2 = FiniteAlgebra(2, (OperationTable("p1", 2, (0, 0, 1, 1)),
+                              OperationTable("p2", 2, (0, 1, 0, 1))))
+    cases = [(fixture("nand2"), None), (const0(), None), (neg2, None),
+             (fixture("constant3"), 8), (fixture("lattice2"), None), (proj2, None),
+             (fixture("semilattice2"), 8), (join2, 8)]
+    for alg, cap in cases:
+        issued.clear()
+        orbits = decide_cube_general(alg, cap)
+        assert not issued, alg
+        with monkeypatch.context() as patch:
+            patch.setattr(decide, "_orbits_pay", lambda algebra: False)
+            assert decide_cube_general(alg, cap) == orbits and issued
+    # the full-bound verdicts, which the tuple path takes seconds for
+    assert decide_cube_general(fixture("semilattice2")) == CubeDecision(
+        NO_CUBE, dimension_bound=16, failing_pair=(1, 0))
+    assert decide_cube_general(join2) == CubeDecision(
+        NO_CUBE, dimension_bound=16, failing_pair=(0, 1))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     StarvedNumpy,
+    binary_constant3,
     brute_force_subpower,
     check_keys_like_codes,
     random_algebra,
@@ -31,6 +32,7 @@ from cubeterm import (
     tuple_code,
 )
 from cubeterm.algebra import close_codes
+from cubeterm.orbits import orbit_membership
 
 
 def test_lattice_closure_of_antichain():
@@ -143,11 +145,15 @@ def test_out_of_memory_truncates(monkeypatch):
 
 def test_out_of_memory_leaves_general_decision_undecided(monkeypatch):
     monkeypatch.setattr(subpower, "np", StarvedNumpy(1 << 16))
-    dec = decide_cube_general(fixture("constant3"))
+    dec = decide_cube_general(binary_constant3())
     assert dec.verdict == UNDECIDED and dec.dimension_bound == 8  # bitset 3**11
     monkeypatch.setattr(subpower, "np", StarvedNumpy(1 << 18))
-    dec = decide_cube_general(fixture("constant3"))
+    dec = decide_cube_general(binary_constant3())
     assert dec.verdict == UNDECIDED and dec.dimension_bound == 16  # store growth
+    # the orbit queries keep the same truncation: constant3's first store
+    monkeypatch.setattr(subpower, "np", StarvedNumpy(1 << 10))
+    dec = decide_cube_general(fixture("constant3"))
+    assert dec.verdict == UNDECIDED and dec.dimension_bound == 1
 
 
 def test_found_before_truncation_wins():
@@ -163,7 +169,7 @@ def test_found_before_truncation_wins():
 
 def engine_run(alg, gens, k, target=None, budget=None):
     """The closure engine's members in the order it found them, and its answer."""
-    eng = subpower._Engine(alg, k, target, budget or Budget())
+    eng = subpower._Engine(subpower._Tuples(alg, k), target, budget or Budget())
     eng.run(iter(gens))
     return eng, eng.rows().tolist(), eng.answer()
 
@@ -433,3 +439,94 @@ def test_close_codes_caps():
     for caps in ({"max_members": 2}, {"max_seconds": 10}):
         _, found, truncated = close_codes(alg, 2, gens, [1, 3], **caps)
         assert found.all() and not truncated.any()
+
+
+# -- orbit closure ---------------------------------------------------------------
+
+
+def pair_orbits(n, a, b, d):
+    """The general query of the pair (a, b) at dimension d as orbit rows:
+    prefix 0..n-1, then counts; b at k of the d coordinates, k = 1..d."""
+    prefix = tuple(range(n))
+    gens = [prefix + tuple(d - k if x == a else k if x == b else 0 for x in range(n))
+            for k in range(1, d + 1)]
+    return gens, prefix + tuple(d if x == a else 0 for x in range(n))
+
+
+@st.composite
+def orbit_queries(draw):
+    """An algebra on 2 or 3 elements with one or two operations of arity
+    1-3 (random tables, constants, projections, symmetric binary ones) and
+    a dimension d whose tuple query stays small."""
+    n = draw(st.sampled_from([2, 3]))
+    arities = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    ops = []
+    for i, m in enumerate(arities):
+        args = list(itertools.product(range(n), repeat=m))
+        kind = draw(st.sampled_from(["table", "constant", "projection", "symmetric"]))
+        if kind == "constant":
+            table = [draw(st.integers(0, n - 1))] * len(args)
+        elif kind == "projection":
+            j = draw(st.integers(0, m - 1))
+            table = [v[j] for v in args]
+        elif kind == "symmetric" and m == 2:
+            upper = {v: draw(st.integers(0, n - 1)) for v in args if v[0] <= v[1]}
+            table = [upper[tuple(sorted(v))] for v in args]
+        else:
+            table = draw(st.lists(st.integers(0, n - 1), min_size=len(args),
+                                  max_size=len(args)))
+        ops.append(OperationTable(f"f{i}", m, tuple(table)))
+    # the tuple oracle's closures live in A**(n + d); on three elements its
+    # saturating binary and ternary runs take seconds beyond these d
+    top = 6 if n == 2 else {1: 6, 2: 4, 3: 3}[max(arities)]
+    return FiniteAlgebra(n, tuple(ops)), draw(st.integers(1, top))
+
+
+@settings(max_examples=200, deadline=None)
+@given(orbit_queries())
+def test_orbit_membership_matches_tuple_membership(case):
+    # the tuple query of the general path is the oracle: the same found
+    # flag and depth for every pair, and on saturated runs the orbit sizes
+    # sum to the tuple closure's size
+    alg, d = case
+    n = alg.size
+    prefix = tuple(range(n))
+    for a, b in itertools.permutations(range(n), 2):
+        tuples = membership(alg, mix_family((a,) * d, (b,) * d, prefix=prefix),
+                            prefix + (a,) * d)
+        gens, target = pair_orbits(n, a, b, d)
+        orbits = orbit_membership(alg, gens, target)
+        assert not tuples.truncated and not orbits.truncated
+        assert (orbits.found, orbits.witness_depth) == (tuples.found, tuples.witness_depth)
+        if not tuples.found:
+            assert orbits.closure_size == tuples.closure_size
+
+
+def test_orbit_membership_counts_tuples_and_caps_orbits():
+    # x and not y on {0, 1} at d = 6, pair (1, 0): the closure misses the
+    # target; its 12 orbits hold as many tuples as the tuple closure
+    alg = FiniteAlgebra(2, (OperationTable("andnot", 2, (0, 0, 1, 0)),))
+    gens, target = pair_orbits(2, 1, 0, 6)
+    tuples = membership(alg, mix_family((1,) * 6, (0,) * 6, prefix=(0, 1)), (0, 1) + (1,) * 6)
+    full = orbit_membership(alg, gens, target)
+    assert not full.found and not full.truncated
+    assert full.closure_size == tuples.closure_size == 126
+    # max_members caps the stored orbits, not the tuples they stand for
+    capped = orbit_membership(alg, gens, target, budget=Budget(max_members=6))
+    assert capped.truncated and not capped.found
+    assert 6 < capped.closure_size <= full.closure_size
+    dec = decide_cube_general(alg, budget=Budget(max_members=3))
+    assert dec.verdict == UNDECIDED and dec.note.startswith("closure budget exhausted")
+    # the time cap as before
+    slow = orbit_membership(alg, gens, target, budget=Budget(max_seconds=0))
+    assert slow.truncated and not slow.found
+
+
+def test_orbit_rows_are_checked():
+    alg = fixture("nand2")
+    gens, target = pair_orbits(2, 0, 1, 3)
+    for bad in ([(0, 1, 2, 2)], [(0, 2, 1, 2)], [(0, 1, 1)]):
+        with pytest.raises(ValueError):
+            orbit_membership(alg, bad, target)
+    with pytest.raises(ValueError):
+        orbit_membership(alg, gens, (0,))
