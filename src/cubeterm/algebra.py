@@ -482,8 +482,10 @@ def close_codes(algebra: FiniteAlgebra, d: int, gens: np.ndarray, targets=None, 
     symmetric binary one to unordered pairs only.  A row leaves the
     frontier once it holds its target or the whole space.  A row still
     without its target is truncated when it holds more than max_members
-    codes after a round, or when the run passes max_seconds.  Operations
-    act on codes through the digit table, so d = 1 is the Sg closure.
+    codes after a round, or when the run passes max_seconds; a
+    `MemoryError` in a round truncates every row still live in it.
+    Operations act on codes through the digit table, so d = 1 is the Sg
+    closure.
 
     Returns (members, found, truncated): each row's codes as a bool
     matrix, whether it holds its target, whether a cap cut it off.
@@ -506,19 +508,23 @@ def close_codes(algebra: FiniteAlgebra, d: int, gens: np.ndarray, targets=None, 
         live = np.flatnonzero(new.any(axis=1) & ~(found | truncated | every.all(axis=1)))
         if not live.size:
             return every, found, truncated
-        picked = slice(None) if live.size == len(every) else live
-        parts = [_RowSets(p[picked]) for p in ((new,) if old is None else (new, old, every))]
-        hit = np.zeros_like(every)
-        for rows, values in chain.from_iterable(
-                _ragged_product(op, stores, digits=digits)
-                for op, stores in _code_blocks(algebra.compiled.ops, *parts)):
-            hit[live[rows], values] = True
-            if targets is not None and hit[live, targets[live]].all():
-                break
-            if deadline is not None and time.monotonic() > deadline:
-                truncated[live] = True  # cleared above for rows that found their target
-                break
-        new = hit & ~every
+        try:
+            picked = slice(None) if live.size == len(every) else live
+            parts = [_RowSets(p[picked]) for p in ((new,) if old is None else (new, old, every))]
+            hit = np.zeros_like(every)
+            for rows, values in chain.from_iterable(
+                    _ragged_product(op, stores, digits=digits)
+                    for op, stores in _code_blocks(algebra.compiled.ops, *parts)):
+                hit[live[rows], values] = True
+                if targets is not None and hit[live, targets[live]].all():
+                    break
+                if deadline is not None and time.monotonic() > deadline:
+                    truncated[live] = True  # cleared above for rows that found their target
+                    break
+            new = hit & ~every
+        except MemoryError:
+            truncated[live] = True
+            return every, found, truncated
 
 
 def mask_matrix(masks, n: int) -> np.ndarray:
@@ -532,13 +538,16 @@ def mask_matrix(masks, n: int) -> np.ndarray:
 def sg_many(algebra: FiniteAlgebra, seeds) -> list[int]:
     """Subuniverses generated by many seed sets at once, as bitmasks:
     `close_codes` at d = 1 on the (seeds x n) membership matrix.  Sg({})
-    is empty."""
+    is empty.  A closure cut off by a `MemoryError` raises it again, as
+    a partial subuniverse would be a wrong answer."""
     n = algebra.size
     masks = [_as_mask(s) for s in seeds]
     if any(m < 0 or m >> n for m in masks):
         raise ValueError("seed contains elements outside the universe")
-    gens = mask_matrix(masks, n)
-    packed = np.packbits(close_codes(algebra, 1, gens)[0], axis=1, bitorder="little")
+    members, _, truncated = close_codes(algebra, 1, mask_matrix(masks, n))
+    if truncated.any():
+        raise MemoryError("Sg closure: out of memory")
+    packed = np.packbits(members, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 

@@ -30,7 +30,14 @@ on three or more elements with a code space n**d of at most
 `POINTWISE_BATCH_SPACE` they close together: blocks of patterns, in
 pattern order, go to one batched closure over the codes of A**d
 (`algebra.close_codes`), and a negative check stops at the first block
-that holds a failing pattern.  Two-element universes and larger code
+that holds a failing pattern.  Two-element universes in such spaces ask
+one `membership` query per pattern.  In larger spaces each pattern is one
+query over orbits where the general path's routing rule (`_orbits_pay`,
+below) holds: a permutation of the coordinates 2..d-1 that keeps their
+value pairs maps the edge columns onto themselves, so the query closes
+the orbits of that Young subgroup (`orbits.orbit_membership`), with
+coordinates 0 and 1 as the prefix, one block per value pair among the
+others, and 3 + (blocks) generator orbits for d + 1 columns.  Other large
 spaces ask one `membership` query per pattern.  Either way the answer is
 that of the first pattern in order that fails or is cut off by the budget.
 
@@ -38,19 +45,19 @@ The general decision asks, per value pair (a, b) and dimension d, whether
 prefix + a**d lies in the subpower generated by the prefixed proper
 overwrites of (a**d, b**d).  Permuting the last d coordinates maps that
 generator family onto itself, so the query can be asked over S_d-orbits
-(`orbits.orbit_membership`): d generator orbits, b at k coordinates for
-k = 1..d, in place of 2**d - 1 tuples.  The route depends on the compiled
-operations alone: orbits when every one is unary, or on two elements with
-arities at most 2; tuples (`membership` over `relations.mix_family`)
-everywhere else, where the margin tables of small queries cost more than
-the tuples they stand for.
+(`orbits.orbit_membership` with one block): d generator orbits, b at k
+coordinates for k = 1..d, in place of 2**d - 1 tuples.  The route depends
+on the compiled operations alone: orbits when every one is unary, or on
+two elements with arities at most 2; tuples (`membership` over
+`relations.mix_family`) everywhere else, where the margin tables of small
+queries cost more than the tuples they stand for.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, islice
+from itertools import combinations_with_replacement, groupby, islice
 from typing import Optional
 
 import numpy as np
@@ -186,11 +193,12 @@ def _stacked_query(algebra: FiniteAlgebra, selections: np.ndarray,
 # fixed-dimension checks
 # ---------------------------------------------------------------------------
 
-#: The routing rule of the pointwise check: on three or more elements the
-#: patterns close in batches (`close_codes`) while the code space n**d is at
-#: most this.  Two-element universes, whose saturating closures the engine's
-#: bit mode runs fastest, and larger spaces ask one `membership` query per
-#: pattern.
+#: The routing rule of the pointwise check by code space n**d: up to this,
+#: on three or more elements the patterns close in batches (`close_codes`)
+#: and on two elements, whose saturating closures the engine's bit mode runs
+#: fastest, one `membership` query per pattern; beyond it each pattern is
+#: one orbit query (`orbits.orbit_membership`) where `_orbits_pay` holds,
+#: else one `membership` query.
 POINTWISE_BATCH_SPACE = 1 << 12
 
 #: Cells of one batch's (patterns x n**d) generator matrix.
@@ -209,6 +217,27 @@ def _pattern_blocks(algebra: FiniteAlgebra, d: int, rows: int):
         yield pairs[np.array(block)].transpose(2, 0, 1)
 
 
+def _pattern_orbits(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, tuple, int]:
+    """The query of one pattern as orbit rows of the Young subgroup that
+    permutes the coordinates 2..d-1 with equal value pairs: prefix
+    coordinates 0 and 1 (the {0, 1} column sets them apart), then one count
+    vector per block of equal pairs, consecutive in a sorted pattern.  The
+    generator orbits are the columns {0, 1}, {0} and {1}, then per block b
+    at one of its coordinates; the target is a.  Returns the generators,
+    the target and the number of blocks."""
+    a, b = a.tolist(), b.tolist()
+    blocks = [(x, y, len(list(run))) for (x, y), run in groupby(zip(a[2:], b[2:]))]
+    rest = np.zeros(len(blocks) * n, dtype=np.int64)  # a at every coordinate of a block
+    for g, (x, _, s) in enumerate(blocks):
+        rest[g * n + x] = s
+    gens = np.tile(np.concatenate([a[:2], rest]), (3 + len(blocks), 1))
+    gens[:3, :2] = [(b[0], b[1]), (b[0], a[1]), (a[0], b[1])]
+    for g, (x, y, _) in enumerate(blocks):
+        gens[3 + g, 2 + g * n + x] -= 1
+        gens[3 + g, 2 + g * n + y] += 1
+    return gens, (a[0], a[1], *rest.tolist()), len(blocks)
+
+
 def _check_cube_pointwise(algebra: FiniteAlgebra, d: int, budget: Budget) -> bool:
     # Every instance with a repeated coordinate value pair (a_i == b_i)
     # passes trivially (the column selecting coordinate i alone equals the
@@ -216,11 +245,15 @@ def _check_cube_pointwise(algebra: FiniteAlgebra, d: int, budget: Budget) -> boo
     # answer is that of the first pattern in order that fails or is cut off.
     n = algebra.size
     space = n ** d
+    batched = n > 2 and space <= POINTWISE_BATCH_SPACE
+    orbits = space > POINTWISE_BATCH_SPACE and _orbits_pay(algebra)
+    if orbits:
+        from .orbits import orbit_membership  # imported on first use, see there
     edge_rows = _edge_rows(d)
     weights = n ** np.arange(d - 1, -1, -1)
     for a, b in _pattern_blocks(algebra, d, max(1, POINTWISE_BATCH_CELLS // space)):
         columns = np.where(edge_rows, b[:, None], a[:, None])
-        if n > 2 and space <= POINTWISE_BATCH_SPACE:
+        if batched:
             gens = np.zeros((len(a), space), dtype=bool)
             gens[np.arange(len(a))[:, None], columns @ weights] = True
             _, found, truncated = close_codes(algebra, d, gens, a @ weights,
@@ -228,8 +261,13 @@ def _check_cube_pointwise(algebra: FiniteAlgebra, d: int, budget: Budget) -> boo
                                               max_seconds=budget.max_seconds)
         else:
             found, truncated = [], []
-            for column, target in zip(columns, a):
-                ans = membership(algebra, [column], target, budget=budget)
+            for r in range(len(a)):
+                if orbits:
+                    gens, target, blocks = _pattern_orbits(n, a[r], b[r])
+                    ans = orbit_membership(algebra, [gens], target, blocks=blocks,
+                                           budget=budget)
+                else:
+                    ans = membership(algebra, [columns[r]], a[r], budget=budget)
                 found.append(ans.found)
                 truncated.append(ans.truncated)
                 if not ans.found:
@@ -256,9 +294,11 @@ def check_cube_dim(algebra: FiniteAlgebra, d: int, *,
     method: "stacked" runs the single stacked membership query, "pointwise"
     (idempotent algebras only) one small query per value-pair pattern,
     "auto" picks pointwise for idempotent input.  The pointwise queries
-    close in batched blocks where `POINTWISE_BATCH_SPACE` allows (see the
-    module docstring); there `budget.max_members` caps each pattern's
-    closure after every round and `budget.max_seconds` each block.
+    close in batched blocks, per pattern or per pattern over orbits as
+    `POINTWISE_BATCH_SPACE` and the algebra decide (see the module
+    docstring).  In a batched block `budget.max_members` caps each
+    pattern's closure after every round and `budget.max_seconds` each
+    block; on an orbit query `budget.max_members` caps the stored orbits.
     Exceeding the budget raises rather than guessing: the check answers
     False at the first failing pattern in order unless a pattern cut off
     by the budget comes before it.
@@ -359,7 +399,8 @@ def _deepening_schedule(cap: int) -> list[int]:
 
 
 def _orbits_pay(algebra: FiniteAlgebra) -> bool:
-    """The routing rule of the general path: orbit queries when every
+    """The routing rule of both orbit routes (the general path's pair
+    queries, the pointwise check's large patterns): orbit queries when every
     compiled operation is unary, or on two elements with arities at most 2.
     Elsewhere, on three elements with a binary operation or on two with a
     ternary one, the margin tables of small queries cost more than the

@@ -8,9 +8,10 @@ appears.
 One closure core (`_Engine`) runs every query, and an expander says what
 its members are and makes their candidates.  `_Tuples` makes the members
 the tuples themselves (`generate`, `membership`); `orbits._Orbits` makes
-them the S_d-orbits of a subpower that every permutation of its last d
-coordinates preserves (`orbits.orbit_membership`, the general cube
-decision's pair queries).
+them the orbits of a subpower that every permutation moving each of its
+last blocks of coordinates within itself preserves
+(`orbits.orbit_membership`: the general cube decision's pair queries, the
+pointwise check's large patterns).
 
 The core absorbs the generators (a stream of 2-D row blocks, as
 `relations.mix_family` yields them, or of single rows) first, then closes

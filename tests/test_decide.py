@@ -454,6 +454,44 @@ def test_stacked_columns_match_per_column_rule(monkeypatch):
             issued.clear()
 
 
+def test_pointwise_orbit_route_agrees_with_tuple_route(monkeypatch):
+    # beyond POINTWISE_BATCH_SPACE a two-element algebra with arities at
+    # most 2 asks one orbit query per pattern; with the routing rule
+    # stubbed to False it asks the tuple queries of the smaller spaces.
+    # Meet, join, both lattices and projections, under both labellings:
+    # the same answers at every d, and the same pattern named when a
+    # budget cuts a check off
+    issued = []
+    tuple_query = decide.membership
+
+    def capture(*args, **kwargs):
+        issued.append(args[0])
+        return tuple_query(*args, **kwargs)
+
+    monkeypatch.setattr(decide, "membership", capture)
+    meet, join = (0, 0, 0, 1), (0, 1, 1, 1)
+    for tables in ((meet,), (join,), (meet, join), (join, meet), ((0, 0, 1, 1), (0, 1, 0, 1))):
+        for swapped in (tables, tuple(tuple(1 - t[3 - i] for i in range(4)) for t in tables)):
+            alg = FiniteAlgebra(2, tuple(OperationTable(f"f{i}", 2, t)
+                                         for i, t in enumerate(swapped)))
+            for d in range(2, 15):
+                issued.clear()
+                orbits = check_cube_dim(alg, d)
+                assert bool(issued) == (2 ** d <= decide.POINTWISE_BATCH_SPACE)
+                with monkeypatch.context() as patch:
+                    patch.setattr(decide, "_orbits_pay", lambda algebra: False)
+                    assert check_cube_dim(alg, d) == orbits, (swapped, d)
+            for budget in (Budget(max_members=2), Budget(max_seconds=0)):
+                errors = []
+                for pay in (True, False):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(decide, "_orbits_pay", lambda algebra: pay)
+                        with pytest.raises(BudgetExceededError) as err:
+                            check_cube_dim(alg, 13, budget=budget)
+                    errors.append(str(err.value))
+                assert errors[0] == errors[1]
+
+
 def test_general_path_routes_on_the_operations(monkeypatch):
     # orbit queries where every compiled operation is unary, or on two
     # elements with arities at most 2; tuple queries through `membership`

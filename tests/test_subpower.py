@@ -17,22 +17,27 @@ from conftest import (
 from cubeterm import (
     UNDECIDED,
     Budget,
+    BudgetExceededError,
     FiniteAlgebra,
     InputError,
     OperationTable,
     Relation,
+    algebra,
+    check_cube_dim,
     code_tuple,
     decide_cube_general,
     default_budget,
     fixture,
     generate,
+    idempotent_quasigroup,
     membership,
     mix_family,
+    sg,
     subpower,
     tuple_code,
 )
 from cubeterm.algebra import close_codes
-from cubeterm.orbits import orbit_membership
+from cubeterm.orbits import _margin_tables, orbit_membership
 
 
 def test_lattice_closure_of_antichain():
@@ -441,6 +446,27 @@ def test_close_codes_caps():
         assert found.all() and not truncated.any()
 
 
+def test_close_codes_out_of_memory_truncates(monkeypatch):
+    # a round whose kernel cannot allocate ends the run: rows still live in
+    # it are truncated, a row that found its target among the generators
+    # is not, and the pointwise check turns the first truncated pattern into
+    # BudgetExceededError; Sg raises rather than answer a partial closure
+    def starved(*args, **kwargs):
+        raise MemoryError("no room")
+        yield
+
+    monkeypatch.setattr(algebra, "_ragged_product", starved)
+    gens = np.zeros((2, 4), dtype=bool)
+    gens[:, [1, 2]] = True
+    _, found, truncated = close_codes(fixture("lattice2"), 2, gens, [1, 3])
+    assert found.tolist() == [True, False] and truncated.tolist() == [False, True]
+    pattern = r"cube dimension 2: .* pattern \(\(0, 1\), \(0, 1\)\)"
+    with pytest.raises(BudgetExceededError, match=pattern):
+        check_cube_dim(idempotent_quasigroup(3), 2)
+    with pytest.raises(MemoryError):
+        sg(fixture("lattice2"), [0])
+
+
 # -- orbit closure ---------------------------------------------------------------
 
 
@@ -453,13 +479,9 @@ def pair_orbits(n, a, b, d):
     return gens, prefix + tuple(d if x == a else 0 for x in range(n))
 
 
-@st.composite
-def orbit_queries(draw):
-    """An algebra on 2 or 3 elements with one or two operations of arity
-    1-3 (random tables, constants, projections, symmetric binary ones) and
-    a dimension d whose tuple query stays small."""
-    n = draw(st.sampled_from([2, 3]))
-    arities = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+def draw_operations(draw, n, arities):
+    """One operation per arity: a random table, a constant, a projection
+    or, when binary, a symmetric table."""
     ops = []
     for i, m in enumerate(arities):
         args = list(itertools.product(range(n), repeat=m))
@@ -476,6 +498,17 @@ def orbit_queries(draw):
             table = draw(st.lists(st.integers(0, n - 1), min_size=len(args),
                                   max_size=len(args)))
         ops.append(OperationTable(f"f{i}", m, tuple(table)))
+    return ops
+
+
+@st.composite
+def orbit_queries(draw):
+    """An algebra on 2 or 3 elements with one or two operations of arity
+    1-3 (random tables, constants, projections, symmetric binary ones) and
+    a dimension d whose tuple query stays small."""
+    n = draw(st.sampled_from([2, 3]))
+    arities = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    ops = draw_operations(draw, n, arities)
     # the tuple oracle's closures live in A**(n + d); on three elements its
     # saturating binary and ternary runs take seconds beyond these d
     top = 6 if n == 2 else {1: 6, 2: 4, 3: 3}[max(arities)]
@@ -530,3 +563,82 @@ def test_orbit_rows_are_checked():
             orbit_membership(alg, bad, target)
     with pytest.raises(ValueError):
         orbit_membership(alg, gens, (0,))
+
+
+@st.composite
+def young_orbit_queries(draw):
+    """An algebra on 2 or 3 elements with one or two unary or binary
+    operations (random tables, constants, projections, symmetric binary
+    ones), a prefix of P coordinates and 1-3 blocks of coordinates, P + the
+    block sizes at most 7, and generator and target orbit rows."""
+    n = draw(st.sampled_from([2, 3]))
+    ops = draw_operations(draw, n, draw(st.lists(st.integers(1, 2), min_size=1, max_size=2)))
+    prefix = draw(st.integers(0, 2))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(
+        lambda s: prefix + sum(s) <= 7))
+
+    def orbit_row():
+        row = [draw(st.integers(0, n - 1)) for _ in range(prefix)]
+        for s in sizes:
+            cuts = sorted(draw(st.integers(0, s)) for _ in range(n - 1))
+            row += [hi - lo for lo, hi in zip([0] + cuts, cuts + [s])]
+        return tuple(row)
+
+    gens = draw(st.lists(st.builds(orbit_row), min_size=1, max_size=3))
+    return FiniteAlgebra(n, tuple(ops)), prefix, sizes, gens, orbit_row()
+
+
+def orbit_tuples(n, prefix, sizes, row):
+    """The tuples of an orbit row: the prefix, then per block every
+    arrangement of its counts."""
+    blocks = []
+    for g, s in enumerate(sizes):
+        counts = row[prefix + g * n: prefix + (g + 1) * n]
+        values = [x for x in range(n) for _ in range(counts[x])]
+        blocks.append(sorted(set(itertools.permutations(values))))
+    return [tuple(row[:prefix]) + sum(parts, ()) for parts in itertools.product(*blocks)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(young_orbit_queries())
+def test_young_orbit_membership_matches_tuple_membership(case):
+    # the tuple query on every tuple of the generator orbits is the oracle:
+    # the same found flag, depth and truncation, and on saturated runs the
+    # orbit sizes sum to the tuple closure's size
+    alg, prefix, sizes, gens, target = case
+    n = alg.size
+    tuples = membership(alg, [t for row in gens for t in orbit_tuples(n, prefix, sizes, row)],
+                        orbit_tuples(n, prefix, sizes, target)[0])
+    orbits = orbit_membership(alg, gens, target, blocks=len(sizes))
+    assert (orbits.found, orbits.witness_depth, orbits.truncated) == \
+        (tuples.found, tuples.witness_depth, tuples.truncated)
+    if not tuples.found:
+        assert orbits.closure_size == tuples.closure_size
+
+
+def test_margin_tables_match_enumerated_tables():
+    # binary tables on {0, 1} (the closed form) and on {0, 1, 2} (the
+    # dynamic program): for each margin pair of total s <= 6 and s <= 3,
+    # the distinct count vectors of all n x n tables with those margins
+    for n, top in ((2, 6), (3, 3)):
+        grids = {}  # margins -> the tables with them, as cell counts
+        for s in range(top + 1):
+            for cells in itertools.product(range(s + 1), repeat=n * n):
+                if sum(cells) == s:
+                    grid = np.array(cells).reshape(n, n)
+                    margins = tuple(grid.sum(axis=1)) + tuple(grid.sum(axis=0))
+                    grids.setdefault(margins, []).append(cells)
+        margins = np.array(sorted(grids)).reshape(-1, 2, n)
+        rng = random.Random(n)
+        for _ in range(12):
+            table = tuple(rng.randrange(n) for _ in range(n * n))
+            ops = FiniteAlgebra(n, (OperationTable("f", 2, table),)).compiled.ops
+            if not ops:
+                continue  # a projection
+            sets, counts = _margin_tables(ops[0], margins)
+            assert (np.diff(sets) >= 0).all()
+            for u, key in enumerate(sorted(grids)):
+                want = {tuple(np.bincount(table, weights=cells, minlength=n).astype(int).tolist())
+                        for cells in grids[key]}
+                got = [tuple(c) for c in counts[sets == u].tolist()]
+                assert len(got) == len(set(got)) and set(got) == want
