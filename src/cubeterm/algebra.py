@@ -483,7 +483,9 @@ def close_codes(algebra: FiniteAlgebra, d: int, gens: np.ndarray, targets=None, 
     frontier once it holds its target or the whole space.  A row still
     without its target is truncated when it holds more than max_members
     codes after a round, or when the run passes max_seconds; a
-    `MemoryError` in a round truncates every row still live in it.
+    `MemoryError` in a round ends the run, keeping the codes the round
+    made before it, and truncates every row still live in it that has
+    not reached its target.
     Operations act on codes through the digit table, so d = 1 is the Sg
     closure.
 
@@ -508,6 +510,7 @@ def close_codes(algebra: FiniteAlgebra, d: int, gens: np.ndarray, targets=None, 
         live = np.flatnonzero(new.any(axis=1) & ~(found | truncated | every.all(axis=1)))
         if not live.size:
             return every, found, truncated
+        hit = None
         try:
             picked = slice(None) if live.size == len(every) else live
             parts = [_RowSets(p[picked]) for p in ((new,) if old is None else (new, old, every))]
@@ -522,9 +525,13 @@ def close_codes(algebra: FiniteAlgebra, d: int, gens: np.ndarray, targets=None, 
                     truncated[live] = True  # cleared above for rows that found their target
                     break
             new = hit & ~every
-        except MemoryError:
+        except MemoryError:  # what the round made before it failed is kept
+            if hit is not None:
+                every |= hit
+            if targets is not None:
+                found = every[index, targets]
             truncated[live] = True
-            return every, found, truncated
+            return every, found, truncated & ~found
 
 
 def mask_matrix(masks, n: int) -> np.ndarray:

@@ -198,7 +198,10 @@ def _stacked_query(algebra: FiniteAlgebra, selections: np.ndarray,
 #: and on two elements, whose saturating closures the engine's bit mode runs
 #: fastest, one `membership` query per pattern; beyond it each pattern is
 #: one orbit query (`orbits.orbit_membership`) where `_orbits_pay` holds,
-#: else one `membership` query.
+#: else one `membership` query.  For two elements the shared value is a
+#: choice, not their crossover: a saturating semilattice check is faster on
+#: orbits from d = 12 on, a passing lattice one about 4x faster on tuples at
+#: every d up to 14.
 POINTWISE_BATCH_SPACE = 1 << 12
 
 #: Cells of one batch's (patterns x n**d) generator matrix.

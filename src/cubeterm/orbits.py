@@ -137,8 +137,7 @@ class _Orbits:
     every combination of one count vector per block, block g's from the
     m-way tables whose margins are the arguments' count vectors there
     (`_margin_tables`).  These sets depend on the count vectors alone, so
-    each is computed once per query; a unary operation gives one orbit, and
-    a symmetric binary one is applied to unordered pairs of orbits only.
+    each is computed once per query; a unary operation gives one orbit.
     """
 
     def __init__(self, algebra: FiniteAlgebra, prefix: int, sizes: Sequence[int]):
@@ -176,15 +175,9 @@ class _Orbits:
         indices, about `KERNEL_CELLS` cells of argument rows at a time."""
         rows = max(1, KERNEL_CELLS // store.shape[1])
         for i, op in enumerate(self.ops):
-            if op.symmetric:  # op(x, y) = op(y, x): each pair once, x from the frontier
-                blocks = [[(f_lo, f_hi), (0, f_hi)]]
-            else:
-                blocks = _frontier(op.arity, (0, f_lo), (f_lo, f_hi), (0, f_hi))
+            blocks = _frontier(op.arity, (0, f_lo), (f_lo, f_hi), (0, f_hi))
             for index in _index_chunks(blocks, rows):
-                if op.symmetric:
-                    index = index[index[:, 1] <= index[:, 0]]  # may leave none
-                if len(index):
-                    yield self._apply(i, op, [store[j] for j in index.T])
+                yield self._apply(i, op, [store[j] for j in index.T])
 
     def _apply(self, i: int, op: _Op, args: list) -> np.ndarray:
         P, n, k = self.P, self.n, len(args[0])
@@ -198,12 +191,8 @@ class _Orbits:
         margins = np.hstack([a[:, P:].reshape(k * groups, n) for a in args])
         _, first, inv = np.unique(_keys(margins, self.base), return_index=True,
                                   return_inverse=True)
-        keys = []
-        for row in margins[first].tolist():
-            if op.symmetric:  # the transposed tables give the same counts
-                row = min(row[:n], row[n:]) + max(row[:n], row[n:])
-            keys.append((i, tuple(row)))
-        missing = list(dict.fromkeys(key for key in keys if key not in self.tables))
+        keys = [(i, tuple(row)) for row in margins[first].tolist()]
+        missing = [key for key in keys if key not in self.tables]
         if missing:
             sets, counts = _margin_tables(op, np.array([m for _, m in missing]).reshape(
                 len(missing), op.arity, n))

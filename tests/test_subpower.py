@@ -451,6 +451,8 @@ def test_close_codes_out_of_memory_truncates(monkeypatch):
     # it are truncated, a row that found its target among the generators
     # is not, and the pointwise check turns the first truncated pattern into
     # BudgetExceededError; Sg raises rather than answer a partial closure
+    real = algebra._ragged_product
+
     def starved(*args, **kwargs):
         raise MemoryError("no room")
         yield
@@ -460,7 +462,18 @@ def test_close_codes_out_of_memory_truncates(monkeypatch):
     gens[:, [1, 2]] = True
     _, found, truncated = close_codes(fixture("lattice2"), 2, gens, [1, 3])
     assert found.tolist() == [True, False] and truncated.tolist() == [False, True]
-    pattern = r"cube dimension 2: .* pattern \(\(0, 1\), \(0, 1\)\)"
+    # a round that fails after its first chunk keeps what that chunk made:
+    # meet(1, 2) = 0 is found, join(1, 2) = 3 is cut off
+    def first_chunk_only(*args, **kwargs):
+        yield next(real(*args, **kwargs))
+        raise MemoryError("no room")
+
+    monkeypatch.setattr(algebra, "_ragged_product", first_chunk_only)
+    members, found, truncated = close_codes(fixture("lattice2"), 2, gens, [0, 3])
+    assert members[:, 0].all() and not members[:, 3].any()
+    assert found.tolist() == [True, False] and truncated.tolist() == [False, True]
+    monkeypatch.setattr(algebra, "_ragged_product", starved)
+    pattern =r"cube dimension 2: .* pattern \(\(0, 1\), \(0, 1\)\)"
     with pytest.raises(BudgetExceededError, match=pattern):
         check_cube_dim(idempotent_quasigroup(3), 2)
     with pytest.raises(MemoryError):
