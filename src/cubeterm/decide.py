@@ -35,22 +35,24 @@ one `membership` query per pattern.  In larger spaces each pattern is one
 query over orbits where the general path's routing rule (`_orbits_pay`,
 below) holds: a permutation of the coordinates 2..d-1 that keeps their
 value pairs maps the edge columns onto themselves, so the query closes
-the orbits of that Young subgroup (`orbits.orbit_membership`), with
-coordinates 0 and 1 as the prefix, one block per value pair among the
-others, and 3 + (blocks) generator orbits for d + 1 columns.  Other large
-spaces ask one `membership` query per pattern.  Either way the answer is
-that of the first pattern in order that fails or is cut off by the budget.
+the orbits of that Young subgroup (`orbits.orbit_membership`).  It takes
+the pattern's d + 1 columns and target, as `membership` would, and as
+blocks the runs of equal value pairs among the coordinates 2..d-1, which
+are consecutive in a sorted pattern.  Other large spaces ask one
+`membership` query per pattern.  Either way the answer is that of the
+first pattern in order that fails or is cut off by the budget.
 
 The general decision asks, per value pair (a, b) and dimension d, whether
 prefix + a**d lies in the subpower generated by the prefixed proper
 overwrites of (a**d, b**d).  Permuting the last d coordinates maps that
 generator family onto itself, so the query can be asked over S_d-orbits
-(`orbits.orbit_membership` with one block): d generator orbits, b at k
-coordinates for k = 1..d, in place of 2**d - 1 tuples.  The route depends
-on the compiled operations alone: orbits when every one is unary, or on
-two elements with arities at most 2; tuples (`membership` over
-`relations.mix_family`) everywhere else, where the margin tables of small
-queries cost more than the tuples they stand for.
+(`orbits.orbit_membership` with one block of d): one tuple per generator
+orbit, the prefix then b at the first k coordinates for k = 1..d, in
+place of 2**d - 1 tuples.  The route depends on the compiled operations
+alone: orbits when every one is unary, or on two elements with arities at
+most 2; tuples (`membership` over `relations.mix_family`) everywhere else,
+where the margin tables of small queries cost more than the tuples they
+stand for.
 """
 
 from __future__ import annotations
@@ -158,6 +160,14 @@ def idempotent_bound_applies(algebra: FiniteAlgebra) -> bool:
 # stacked instances
 # ---------------------------------------------------------------------------
 
+def _value_pairs(algebra: FiniteAlgebra) -> np.ndarray:
+    """The pairs (a, b) of differing values, in lexicographic order, as a
+    (pairs x 2) array in the element dtype."""
+    n = algebra.size
+    return np.array([(a, b) for a in range(n) for b in range(n) if a != b],
+                    dtype=algebra.compiled.dtype)
+
+
 def _edge_rows(d: int) -> np.ndarray:
     """The d + 1 edge columns as 0/1 rows over d coordinates: {0, 1}, then
     each single coordinate."""
@@ -175,8 +185,7 @@ def _stacked_query(algebra: FiniteAlgebra, selections: np.ndarray,
     elsewhere.  The target column is a at every varying row.
     """
     n = algebra.size
-    pairs = np.array([(x, y) for x in range(n) for y in range(n) if x != y],
-                     dtype=algebra.compiled.dtype)
+    pairs = _value_pairs(algebra)
     width = selections.shape[1]
     a, b = np.tile(pairs, (width, 1)).T
     coord = np.repeat(np.arange(width), len(pairs))
@@ -212,33 +221,10 @@ def _pattern_blocks(algebra: FiniteAlgebra, d: int, rows: int):
     """The patterns of differing value pairs, one per multiset, in
     `combinations_with_replacement` order, as (a, b) arrays of `rows`
     patterns by d coordinates."""
-    n = algebra.size
-    pairs = np.array([(a, b) for a in range(n) for b in range(n) if a != b],
-                     dtype=algebra.compiled.dtype)
+    pairs = _value_pairs(algebra)
     patterns = combinations_with_replacement(range(len(pairs)), d)
     while block := list(islice(patterns, rows)):
         yield pairs[np.array(block)].transpose(2, 0, 1)
-
-
-def _pattern_orbits(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, tuple, int]:
-    """The query of one pattern as orbit rows of the Young subgroup that
-    permutes the coordinates 2..d-1 with equal value pairs: prefix
-    coordinates 0 and 1 (the {0, 1} column sets them apart), then one count
-    vector per block of equal pairs, consecutive in a sorted pattern.  The
-    generator orbits are the columns {0, 1}, {0} and {1}, then per block b
-    at one of its coordinates; the target is a.  Returns the generators,
-    the target and the number of blocks."""
-    a, b = a.tolist(), b.tolist()
-    blocks = [(x, y, len(list(run))) for (x, y), run in groupby(zip(a[2:], b[2:]))]
-    rest = np.zeros(len(blocks) * n, dtype=np.int64)  # a at every coordinate of a block
-    for g, (x, _, s) in enumerate(blocks):
-        rest[g * n + x] = s
-    gens = np.tile(np.concatenate([a[:2], rest]), (3 + len(blocks), 1))
-    gens[:3, :2] = [(b[0], b[1]), (b[0], a[1]), (a[0], b[1])]
-    for g, (x, y, _) in enumerate(blocks):
-        gens[3 + g, 2 + g * n + x] -= 1
-        gens[3 + g, 2 + g * n + y] += 1
-    return gens, (a[0], a[1], *rest.tolist()), len(blocks)
 
 
 def _check_cube_pointwise(algebra: FiniteAlgebra, d: int, budget: Budget) -> bool:
@@ -265,10 +251,10 @@ def _check_cube_pointwise(algebra: FiniteAlgebra, d: int, budget: Budget) -> boo
         else:
             found, truncated = [], []
             for r in range(len(a)):
-                if orbits:
-                    gens, target, blocks = _pattern_orbits(n, a[r], b[r])
-                    ans = orbit_membership(algebra, [gens], target, blocks=blocks,
-                                           budget=budget)
+                if orbits:  # blocks: the runs of equal pairs among 2..d-1
+                    runs = groupby(zip(a[r, 2:].tolist(), b[r, 2:].tolist()))
+                    ans = orbit_membership(algebra, [columns[r]], a[r], budget=budget,
+                                           blocks=[len(list(run)) for _, run in runs])
                 else:
                     ans = membership(algebra, [columns[r]], a[r], budget=budget)
                 found.append(ans.found)
@@ -413,20 +399,6 @@ def _orbits_pay(algebra: FiniteAlgebra) -> bool:
         (algebra.size == 2 and all(op.arity <= 2 for op in ops))
 
 
-def _pair_orbits(n: int, a: int, b: int, d: int) -> tuple[np.ndarray, tuple]:
-    """The general query for the pair (a, b) at dimension d as orbit rows
-    (prefix 0..n-1, then counts): the generator orbits, b at k of the d
-    coordinates for k = 1..d, and the target orbit, a at all d."""
-    k = np.arange(1, d + 1)
-    gens = np.zeros((d, 2 * n), dtype=np.int64)
-    gens[:, :n] = np.arange(n)
-    gens[:, n + a] = d - k
-    gens[:, n + b] = k
-    counts = [0] * n
-    counts[a] = d
-    return gens, (*range(n), *counts)
-
-
 def decide_cube_general(algebra: FiniteAlgebra, cap: Optional[int] = None, *,
                         budget: Optional[Budget] = None) -> CubeDecision:
     """Decision for arbitrary algebras, exponential in the worst case.
@@ -466,9 +438,12 @@ def decide_cube_general(algebra: FiniteAlgebra, cap: Optional[int] = None, *,
             for b in range(n):
                 if a == b:
                     continue  # the target is itself a generator
-                if orbits:
-                    gens, target = _pair_orbits(n, a, b, d)
-                    ans = orbit_membership(algebra, [gens], target, budget=budget)
+                if orbits:  # one tuple per generator orbit: b at the first k coordinates
+                    reps = np.empty((d, n + d), dtype=np.int64)
+                    reps[:, :n] = prefix
+                    reps[:, n:] = np.where(np.arange(d) < np.arange(1, d + 1)[:, None], b, a)
+                    ans = orbit_membership(algebra, [reps], prefix + (a,) * d,
+                                           blocks=(d,), budget=budget)
                 else:
                     gens = mix_family((a,) * d, (b,) * d, prefix=prefix)
                     ans = membership(algebra, gens, prefix + (a,) * d, budget=budget)

@@ -18,14 +18,17 @@ model checking" (FMSD 1996).  Two queries have this form:
   2..d-1 that keeps their value pairs maps onto itself: the prefix is
   coordinates 0 and 1, and a block per value pair among the others.
 
-An orbit is the prefix values plus, per block, one count per element of A:
-how many of the block's coordinates hold it.  An m-ary operation applied to
-m tuples of given orbits gives the prefix op(p_1, ..., p_m) and, on each
-block, a count vector fixed by the m-way table of value combinations those
-tuples show there; every table with the block's argument count vectors as
-its margins occurs (Diaconis and Sturmfels, Ann. Statist. 1998, on tables
-with fixed margins), and the blocks vary independently, so the results are
-the prefix with the product of the per-block sets.  The orbit expander
+Both queries hand `orbit_membership` tuples, as `membership` takes them,
+and the block sizes: each tuple stands for its orbit.  An orbit is the
+prefix values plus, per block, one count per element of A: how many of the
+block's coordinates hold it; `_Orbits` alone builds these rows, from the
+tuples, and no caller sees them.  An m-ary operation applied to m tuples
+of given orbits gives the prefix op(p_1, ..., p_m) and, on each block, a
+count vector fixed by the m-way table of value combinations those tuples
+show there; every table with the block's argument count vectors as its
+margins occurs (Diaconis and Sturmfels, Ann. Statist. 1998, on tables with
+fixed margins), and the blocks vary independently, so the results are the
+prefix with the product of the per-block sets.  The orbit expander
 `_Orbits` makes these candidates for the closure core of `subpower`, which
 keys, stores and budgets them as it does tuples.
 
@@ -41,7 +44,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .algebra import KERNEL_CELLS, FiniteAlgebra, _evaluate, _frontier, _Op, element_dtype
-from .relations import _keys
+from .relations import _digit_rows, _keys
 from .subpower import Budget, MembershipAnswer, _Engine, default_budget
 
 
@@ -129,20 +132,25 @@ class _Orbits:
     that the Young subgroup S_{s_1} x ... x S_{s_G}, acting on the G blocks
     of coordinates after the first P, preserves.
 
-    An orbit is a row: the P prefix entries, then per block n counts,
-    count x the number of the block's coordinates holding x; its key is
-    the `_keys` code in base max(n, max s_g + 1) of the row without the
-    last count of each block, which is s_g minus the others.  Applied to m
-    orbits, an m-ary operation gives the prefix op(p_1, ..., p_m) with
-    every combination of one count vector per block, block g's from the
-    m-way tables whose margins are the arguments' count vectors there
-    (`_margin_tables`).  These sets depend on the count vectors alone, so
-    each is computed once per query; a unary operation gives one orbit.
+    Generators and target come as tuples, each standing for its orbit, and
+    this class alone knows the orbit row: the P prefix entries, then per
+    block n counts, count x the number of the block's coordinates holding
+    x; its key is the `_keys` code in base max(n, max s_g + 1) of the row
+    without the last count of each block, which is s_g minus the others.
+    Applied to m orbits, an m-ary operation gives the prefix
+    op(p_1, ..., p_m) with every combination of one count vector per block,
+    block g's from the m-way tables whose margins are the arguments' count
+    vectors there (`_margin_tables`).  These sets depend on the count
+    vectors alone, so each is computed once per query; a unary operation
+    gives one orbit.
     """
 
     def __init__(self, algebra: FiniteAlgebra, prefix: int, sizes: Sequence[int]):
         n = algebra.size
         self.n, self.P, self.sizes = n, prefix, np.array(sizes, dtype=np.int64)
+        self.K = prefix + sum(sizes)  # the width of the tuples
+        # per coordinate after the prefix: the offset of its block's counts
+        self.cell_of = (np.arange(len(sizes)) * n).repeat(self.sizes)
         self.base = max(n, max(sizes, default=0) + 1)
         width = prefix + len(sizes) * n
         self.key_columns = np.array([c for c in range(width)
@@ -157,18 +165,14 @@ class _Orbits:
         return _keys(cands[:, self.key_columns], self.base)
 
     def members(self, block) -> np.ndarray:
-        """A block of orbit rows, checked: prefix entries in 0..n-1 and each
-        block's counts totalling its size."""
-        rows = np.asarray(block)
-        if rows.ndim != 2 or rows.shape[1] != self.row_shape[0]:
-            raise ValueError(f"orbit rows must have {self.row_shape[0]} entries")
-        if rows.size and (rows.dtype.kind not in "iu" or rows.min() < 0
-                          or rows[:, :self.P].max(initial=0) >= self.n
-                          or (rows[:, self.P:].reshape(len(rows), len(self.sizes), self.n)
-                              .sum(axis=2) != self.sizes).any()):
-            raise ValueError(f"orbit rows need prefix entries in 0..{self.n - 1} "
-                             f"and block counts totalling {self.sizes.tolist()}")
-        return rows.astype(self.dtype)
+        """A block of tuple rows, checked by `_digit_rows`, as the rows of
+        their orbits: one `bincount` over the cells (row, block, value)."""
+        rows = _digit_rows(block, self.K, self.n)
+        k, P, stride = len(rows), self.P, self.row_shape[0] - self.P
+        cells = rows[:, P:] + self.cell_of + np.arange(k)[:, None] * stride
+        counts = np.bincount(cells.ravel(), minlength=k * stride)
+        return np.concatenate([rows[:, :P], counts.reshape(k, stride)], axis=1,
+                              dtype=self.dtype, casting="unsafe")
 
     def candidates(self, store: np.ndarray, f_lo: int, f_hi: int) -> Iterator[np.ndarray]:
         """One round's candidate orbits over the frontier blocks of orbit
@@ -229,31 +233,30 @@ class _Orbits:
 
 
 def orbit_membership(algebra: FiniteAlgebra, generators: Iterable,
-                     target: Sequence[int], *, blocks: int = 1,
+                     target: Sequence[int], *, blocks: Sequence[int],
                      budget: Optional[Budget] = None) -> MembershipAnswer:
     """`membership` in a subpower of A**(P + s_1 + ... + s_G) preserved by
-    every permutation that moves each of its last G blocks of coordinates
-    (G = `blocks`) within itself, asked over the orbits of those
-    permutations.
+    every permutation that moves each of its last G blocks of coordinates,
+    of the sizes s_1, ..., s_G given by `blocks`, within itself, asked over
+    the orbits of those permutations.
 
-    The generators (2-D blocks or single rows, as for `membership`) and the
-    target are orbit rows: P prefix entries, then per block n counts,
-    count x the number of the block's coordinates holding x; s_g is the
-    target's count total in block g.  The orbit closure holds exactly the
-    orbits of the tuple closure, and the depth at which a tuple first
-    appears is its orbit's, so found and witness_depth are those of the
-    tuple query on every tuple of the generator orbits.  closure_size
-    counts tuples (orbit sizes summed), while `Budget.max_members` caps the
-    stored orbits.
+    The generators (2-D blocks or single rows) and the target are tuples
+    as for `membership`, the prefix being the first P = (row width) -
+    sum(blocks) coordinates; each tuple stands for its orbit, so any
+    tuples of the generator orbits do, and repeats cost nothing.  The orbit
+    closure holds exactly the orbits of the tuple closure of every tuple of
+    the generator orbits, and the depth at which a tuple first appears is
+    its orbit's, so found and witness_depth are those of that tuple query.
+    closure_size counts tuples (orbit sizes summed), while
+    `Budget.max_members` caps the stored orbits.  ValueError for rows that
+    `membership` refuses, block sizes below 1, or blocks wider than the
+    target.
     """
-    target = tuple(target)
-    n = algebra.size
-    if blocks < 0:
-        raise ValueError(f"blocks must be at least 0, got {blocks}")
-    if len(target) < blocks * n:
-        raise ValueError(f"an orbit row of {blocks} blocks has at least {blocks * n} entries")
-    prefix = len(target) - blocks * n
-    sizes = [sum(target[prefix + g * n: prefix + (g + 1) * n]) for g in range(blocks)]
-    eng = _Engine(_Orbits(algebra, prefix, sizes), target, budget or default_budget())
+    if any(s < 1 for s in blocks):
+        raise ValueError(f"block sizes must be at least 1, got {list(blocks)}")
+    prefix = len(target) - sum(blocks)
+    if prefix < 0:
+        raise ValueError(f"blocks {list(blocks)} exceed the {len(target)} coordinates")
+    eng = _Engine(_Orbits(algebra, prefix, blocks), target, budget or default_budget())
     eng.run(generators)
     return eng.answer()

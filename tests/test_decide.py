@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -36,7 +37,7 @@ from cubeterm import (
     minimal_cube_dimension,
     mix_family,
 )
-from cubeterm import decide
+from cubeterm import decide, orbits
 
 
 def _alg(n, *arities):
@@ -490,6 +491,72 @@ def test_pointwise_orbit_route_agrees_with_tuple_route(monkeypatch):
                             check_cube_dim(alg, 13, budget=budget)
                     errors.append(str(err.value))
                 assert errors[0] == errors[1]
+
+
+def _rows(gens):
+    return [row for block in gens for row in np.asarray(block).tolist()]
+
+
+def test_pointwise_orbit_route_asks_the_tuple_queries(monkeypatch):
+    # beyond POINTWISE_BATCH_SPACE the orbit route hands `orbit_membership`
+    # the generator columns and target that the tuple route, forced by a
+    # stubbed routing rule, hands `membership`, pattern by pattern; its
+    # blocks are the runs of equal value pairs among the coordinates 2..d-1
+    calls = {True: [], False: []}
+    tuple_query, orbit_query = decide.membership, orbits.orbit_membership
+
+    def capture_tuples(alg, gens, target, **kwargs):
+        calls[False].append((_rows(gens), list(target)))
+        return tuple_query(alg, gens, target, **kwargs)
+
+    def capture_orbits(alg, gens, target, *, blocks, **kwargs):
+        rows, d = _rows(gens), len(target)
+        calls[True].append((rows, list(target)))
+        b = [rows[1 + i][i] for i in range(d)]  # the column {i} holds b_i
+        assert list(blocks) == list(Counter(zip(target[2:], b[2:])).values())
+        return orbit_query(alg, gens, target, blocks=blocks, **kwargs)
+
+    monkeypatch.setattr(decide, "membership", capture_tuples)
+    monkeypatch.setattr(orbits, "orbit_membership", capture_orbits)
+    for alg in (fixture("lattice2"), fixture("semilattice2")):
+        for d in (13, 14):
+            answers = []
+            for pay in (True, False):
+                calls[pay].clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(decide, "_orbits_pay", lambda algebra: pay)
+                    answers.append(check_cube_dim(alg, d))
+            assert answers[0] == answers[1]
+            assert calls[True] == calls[False] and calls[True], (alg, d)
+
+
+def test_general_orbit_route_asks_one_tuple_per_orbit(monkeypatch):
+    # the general route hands `orbit_membership` d tuples for the pair
+    # (a, b): the prefix, then b at the first k of the d coordinates, one
+    # tuple per orbit of the tuple route's family
+    seen = []
+    orbit_query = orbits.orbit_membership
+
+    def capture(alg, gens, target, *, blocks, **kwargs):
+        seen.append((_rows(gens), tuple(target), tuple(blocks)))
+        return orbit_query(alg, gens, target, blocks=blocks, **kwargs)
+
+    monkeypatch.setattr(orbits, "orbit_membership", capture)
+    for alg in (fixture("nand2"), fixture("constant3"), fixture("semilattice2")):
+        seen.clear()
+        decide_cube_general(alg, 8)
+        n = alg.size
+        prefix = tuple(range(n))
+
+        def orbit_set(rows):
+            return {tuple(r[:n]) + tuple(sorted(r[n:])) for r in rows}
+
+        assert seen
+        for rows, target, (d,) in seen:
+            a, b = target[-1], rows[0][n]
+            assert target == prefix + (a,) * d and len(rows) == d and a != b
+            family = _rows(mix_family((a,) * d, (b,) * d, prefix=prefix))
+            assert orbit_set(rows) == orbit_set(family)
 
 
 def test_general_path_routes_on_the_operations(monkeypatch):

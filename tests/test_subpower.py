@@ -483,15 +483,6 @@ def test_close_codes_out_of_memory_truncates(monkeypatch):
 # -- orbit closure ---------------------------------------------------------------
 
 
-def pair_orbits(n, a, b, d):
-    """The general query of the pair (a, b) at dimension d as orbit rows:
-    prefix 0..n-1, then counts; b at k of the d coordinates, k = 1..d."""
-    prefix = tuple(range(n))
-    gens = [prefix + tuple(d - k if x == a else k if x == b else 0 for x in range(n))
-            for k in range(1, d + 1)]
-    return gens, prefix + tuple(d if x == a else 0 for x in range(n))
-
-
 def draw_operations(draw, n, arities):
     """One operation per arity: a random table, a constant, a projection
     or, when binary, a symmetric table."""
@@ -531,17 +522,17 @@ def orbit_queries(draw):
 @settings(max_examples=200, deadline=None)
 @given(orbit_queries())
 def test_orbit_membership_matches_tuple_membership(case):
-    # the tuple query of the general path is the oracle: the same found
-    # flag and depth for every pair, and on saturated runs the orbit sizes
-    # sum to the tuple closure's size
+    # the general path's generator family goes to both queries, and the
+    # tuple query is the oracle: the same found flag and depth for every
+    # pair, and on saturated runs the orbit sizes sum to the tuple
+    # closure's size
     alg, d = case
     n = alg.size
     prefix = tuple(range(n))
     for a, b in itertools.permutations(range(n), 2):
-        tuples = membership(alg, mix_family((a,) * d, (b,) * d, prefix=prefix),
-                            prefix + (a,) * d)
-        gens, target = pair_orbits(n, a, b, d)
-        orbits = orbit_membership(alg, gens, target)
+        gens, target = list(mix_family((a,) * d, (b,) * d, prefix=prefix)), prefix + (a,) * d
+        tuples = membership(alg, gens, target)
+        orbits = orbit_membership(alg, gens, target, blocks=(d,))
         assert not tuples.truncated and not orbits.truncated
         assert (orbits.found, orbits.witness_depth) == (tuples.found, tuples.witness_depth)
         if not tuples.found:
@@ -552,77 +543,79 @@ def test_orbit_membership_counts_tuples_and_caps_orbits():
     # x and not y on {0, 1} at d = 6, pair (1, 0): the closure misses the
     # target; its 12 orbits hold as many tuples as the tuple closure
     alg = FiniteAlgebra(2, (OperationTable("andnot", 2, (0, 0, 1, 0)),))
-    gens, target = pair_orbits(2, 1, 0, 6)
-    tuples = membership(alg, mix_family((1,) * 6, (0,) * 6, prefix=(0, 1)), (0, 1) + (1,) * 6)
-    full = orbit_membership(alg, gens, target)
+    gens, target = list(mix_family((1,) * 6, (0,) * 6, prefix=(0, 1))), (0, 1) + (1,) * 6
+    tuples = membership(alg, gens, target)
+    full = orbit_membership(alg, gens, target, blocks=(6,))
     assert not full.found and not full.truncated
     assert full.closure_size == tuples.closure_size == 126
     # max_members caps the stored orbits, not the tuples they stand for
-    capped = orbit_membership(alg, gens, target, budget=Budget(max_members=6))
+    capped = orbit_membership(alg, gens, target, blocks=(6,), budget=Budget(max_members=6))
     assert capped.truncated and not capped.found
     assert 6 < capped.closure_size <= full.closure_size
     dec = decide_cube_general(alg, budget=Budget(max_members=3))
     assert dec.verdict == UNDECIDED and dec.note.startswith("closure budget exhausted")
     # the time cap as before
-    slow = orbit_membership(alg, gens, target, budget=Budget(max_seconds=0))
+    slow = orbit_membership(alg, gens, target, blocks=(6,), budget=Budget(max_seconds=0))
     assert slow.truncated and not slow.found
 
 
-def test_orbit_rows_are_checked():
+def test_orbit_membership_checks_its_tuples():
+    # the rows as `membership` checks them, and block sizes of at least 1
+    # that fit into the target's coordinates; no blocks at all is
+    # `membership` itself
     alg = fixture("nand2")
-    gens, target = pair_orbits(2, 0, 1, 3)
-    for bad in ([(0, 1, 2, 2)], [(0, 2, 1, 2)], [(0, 1, 1)]):
+    gens, target = [(0, 1, 1, 0, 0)], (0, 1, 0, 0, 0)
+    assert orbit_membership(alg, gens, target, blocks=()) == membership(alg, gens, target)
+    for blocks in ((3,), (2, 1, 2), (5,)):
+        assert not orbit_membership(alg, gens, target, blocks=blocks).truncated
+    for bad in ([(0, 1, 2, 0, 0)], [(0, 1, -1, 0, 0)], [(0, 1, 1, 0)], [(0, 1, 1, 0, 0, 0)]):
         with pytest.raises(ValueError):
-            orbit_membership(alg, bad, target)
+            orbit_membership(alg, bad, target, blocks=(3,))
     with pytest.raises(ValueError):
-        orbit_membership(alg, gens, (0,))
+        orbit_membership(alg, gens, (0, 1, 2, 0, 0), blocks=(3,))
+    for blocks in ((0,), (3, 0), (-1, 3), (6,), (3, 3)):
+        with pytest.raises(ValueError):
+            orbit_membership(alg, gens, target, blocks=blocks)
 
 
 @st.composite
 def young_orbit_queries(draw):
     """An algebra on 2 or 3 elements with one or two unary or binary
     operations (random tables, constants, projections, symmetric binary
-    ones), a prefix of P coordinates and 1-3 blocks of coordinates, P + the
-    block sizes at most 7, and generator and target orbit rows."""
+    ones), 1-3 blocks of coordinates after a prefix of 0-2, at most 7
+    coordinates in all, and generator and target tuples."""
     n = draw(st.sampled_from([2, 3]))
     ops = draw_operations(draw, n, draw(st.lists(st.integers(1, 2), min_size=1, max_size=2)))
     prefix = draw(st.integers(0, 2))
     sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(
         lambda s: prefix + sum(s) <= 7))
-
-    def orbit_row():
-        row = [draw(st.integers(0, n - 1)) for _ in range(prefix)]
-        for s in sizes:
-            cuts = sorted(draw(st.integers(0, s)) for _ in range(n - 1))
-            row += [hi - lo for lo, hi in zip([0] + cuts, cuts + [s])]
-        return tuple(row)
-
-    gens = draw(st.lists(st.builds(orbit_row), min_size=1, max_size=3))
-    return FiniteAlgebra(n, tuple(ops)), prefix, sizes, gens, orbit_row()
+    row = st.tuples(*[st.integers(0, n - 1)] * (prefix + sum(sizes)))
+    gens = draw(st.lists(row, min_size=1, max_size=3))
+    return FiniteAlgebra(n, tuple(ops)), sizes, gens, draw(row)
 
 
-def orbit_tuples(n, prefix, sizes, row):
-    """The tuples of an orbit row: the prefix, then per block every
-    arrangement of its counts."""
+def orbit_tuples(sizes, row):
+    """The tuples of the orbit of row: its prefix, then per block every
+    arrangement of the block's entries."""
+    prefix = start = len(row) - sum(sizes)
     blocks = []
-    for g, s in enumerate(sizes):
-        counts = row[prefix + g * n: prefix + (g + 1) * n]
-        values = [x for x in range(n) for _ in range(counts[x])]
-        blocks.append(sorted(set(itertools.permutations(values))))
-    return [tuple(row[:prefix]) + sum(parts, ()) for parts in itertools.product(*blocks)]
+    for s in sizes:
+        blocks.append(sorted(set(itertools.permutations(row[start:start + s]))))
+        start += s
+    return [row[:prefix] + sum(parts, ()) for parts in itertools.product(*blocks)]
 
 
 @settings(max_examples=100, deadline=None)
 @given(young_orbit_queries())
 def test_young_orbit_membership_matches_tuple_membership(case):
-    # the tuple query on every tuple of the generator orbits is the oracle:
-    # the same found flag, depth and truncation, and on saturated runs the
-    # orbit sizes sum to the tuple closure's size
-    alg, prefix, sizes, gens, target = case
-    n = alg.size
-    tuples = membership(alg, [t for row in gens for t in orbit_tuples(n, prefix, sizes, row)],
-                        orbit_tuples(n, prefix, sizes, target)[0])
-    orbits = orbit_membership(alg, gens, target, blocks=len(sizes))
+    # every tuple of the generator orbits goes to both queries, and the
+    # tuple query is the oracle: the same found flag, depth and
+    # truncation, and on saturated runs the orbit sizes sum to the tuple
+    # closure's size
+    alg, sizes, gens, target = case
+    family = [t for row in gens for t in orbit_tuples(sizes, row)]
+    tuples = membership(alg, family, target)
+    orbits = orbit_membership(alg, family, target, blocks=sizes)
     assert (orbits.found, orbits.witness_depth, orbits.truncated) == \
         (tuples.found, tuples.witness_depth, tuples.truncated)
     if not tuples.found:
