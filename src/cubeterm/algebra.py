@@ -10,10 +10,12 @@ Every evaluation of operations over many arguments goes through one kernel:
 `_evaluate` applies a compiled operation to broadcastable argument arrays,
 and `_product` feeds it the cartesian products of argument stores in
 chunks.  `is_subuniverse`, the compatibility scan and the subpower closure
-engine use it.  `_ragged_product` numbers every row's own argument
-combinations in one sequence.  It feeds `close_codes`, which closes many
-sets of codes of A**d at once (per block of patterns in the pointwise cube
-checks, at d = 1 in `sg_many` and `sg`), and `blockers.verify_blockers`.
+engine use it.  `_ragged_index` numbers every row's own combinations in
+one sequence, and `_ragged_product` evaluates op over it.  That feeds
+`close_codes`, which closes many sets of codes of A**d at once (per block
+of patterns in the pointwise cube checks, at d = 1 in `sg_many` and `sg`),
+and `blockers.verify_blockers`; the orbit expander (`orbits._Orbits`)
+numbers its argument orbits and result sets with `_ragged_index` too.
 """
 
 from __future__ import annotations
@@ -410,13 +412,34 @@ class _RowSets:
         return out
 
 
+def _ragged_index(counts, step: Optional[int] = None):
+    """Yield (rows, picks): every row's own combinations, row r picking
+    factor j's entry below counts[j][r], numbered in one sequence (rows in
+    order, each row's combinations in lexicographic order) and taken
+    `step` at a time, all at once without one.  picks[j] is the entry of
+    factor j for each combination, rows its row."""
+    totals = math.prod(counts)
+    ends = np.cumsum(totals)
+    total = int(ends[-1])
+    begins = ends - totals
+    step = step or max(1, total)
+    for lo in range(0, total, step):
+        flat = np.arange(lo, min(lo + step, total))
+        rows = np.searchsorted(ends, flat, side="right")
+        left = flat - begins[rows]
+        picks = [left] * len(counts)
+        for j in range(len(counts) - 1, 0, -1):
+            picks[0], picks[j] = np.divmod(picks[0], counts[j][rows])
+        yield rows, picks
+
+
 def _ragged_product(op: _Op, stores, cells: int = KERNEL_CELLS,
                     digits: Optional[np.ndarray] = None):
     """Yield (rows, values): op over each row's own cartesian product, row r
     taking argument j from row r of stores[j], a bool matrix or its
-    `_RowSets`.  All rows' combinations are numbered in one sequence, taken
-    `cells` at a time.  A symmetric binary op over one store twice gets
-    each unordered pair once.
+    `_RowSets`, in `_ragged_index` order, `cells` combinations at a time.
+    A symmetric binary op over one store twice gets each unordered pair
+    once.
 
     With `digits` (the `_code_digits` table) the entries are codes of A**d
     and op acts on them coordinatewise; a chunk then takes cells // 32
@@ -424,23 +447,9 @@ def _ragged_product(op: _Op, stores, cells: int = KERNEL_CELLS,
     """
     pairs = op.symmetric and stores[0] is stores[1]
     stores = [s if isinstance(s, _RowSets) else _RowSets(s) for s in stores]
-    counts = [s.counts for s in stores]
-    totals = math.prod(counts)
-    ends = np.cumsum(totals)
-    total = int(ends[-1])
-    if not total:
-        return
-    begins = ends - totals
     step = cells if digits is None else max(1, cells // 32)
-    for lo in range(0, total, step):
-        flat = np.arange(lo, min(lo + step, total))
-        rows = np.searchsorted(ends, flat, side="right")
-        left = flat - begins[rows]
-        args = [None] * op.arity
-        for j in range(op.arity - 1, 0, -1):
-            left, digit = np.divmod(left, counts[j][rows])
-            args[j] = stores[j].elems[stores[j].starts[rows] + digit]
-        args[0] = stores[0].elems[stores[0].starts[rows] + left]
+    for rows, picks in _ragged_index([s.counts for s in stores], step):
+        args = [s.elems[s.starts[rows] + p] for s, p in zip(stores, picks)]
         if pairs:  # entries are sorted within a row
             keep = args[1] <= args[0]
             rows, args = rows[keep], [a[keep] for a in args]

@@ -7,7 +7,8 @@ Every command prints one JSON object to stdout:
 input_digest is the sha256 of the input file (null for gen).  Payloads are
 stable: identical input and flags give identical payloads; only elapsed_ms
 varies.  Exit codes: 0 a decision was computed (whatever the verdict),
-1 undecided or budget-truncated, 2 malformed input or bad usage.
+1 undecided, budget-truncated or out of memory, 2 malformed input or bad
+usage.
 """
 
 from __future__ import annotations
@@ -295,7 +296,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     except (InputError, ValueError, KeyError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_INPUT
-    except BudgetExceededError as exc:
+    except (BudgetExceededError, MemoryError) as exc:
         _emit(command, digest, {"truncated": True, "reason": str(exc)},
               started, pretty)
         return EXIT_UNDECIDED

@@ -30,25 +30,23 @@ on three or more elements with a code space n**d of at most
 `POINTWISE_BATCH_SPACE` they close together: blocks of patterns, in
 pattern order, go to one batched closure over the codes of A**d
 (`algebra.close_codes`), and a negative check stops at the first block
-that holds a failing pattern.  Two-element universes in such spaces ask
-one `membership` query per pattern.  In larger spaces each pattern is one
-query over orbits where the general path's routing rule (`_orbits_pay`,
-below) holds: a permutation of the coordinates 2..d-1 that keeps their
-value pairs maps the edge columns onto themselves, so the query closes
-the orbits of that Young subgroup (`orbits.orbit_membership`).  It takes
-the pattern's d + 1 columns and target, as `membership` would, and as
-blocks the runs of equal value pairs among the coordinates 2..d-1, which
-are consecutive in a sorted pattern.  Other large spaces ask one
-`membership` query per pattern.  Either way the answer is that of the
-first pattern in order that fails or is cut off by the budget.
+that holds a failing pattern.  Every other space asks one `membership`
+query per pattern, the pattern's d + 1 columns and target.  In larger
+spaces, where the general path's routing rule (`_orbits_pay`, below)
+holds, it closes orbits: a permutation of the coordinates 2..d-1 that
+keeps their value pairs maps the edge columns onto themselves, so the
+query passes as `blocks` the runs of equal value pairs among those
+coordinates, which are consecutive in a sorted pattern.  Either way the
+answer is that of the first pattern in order that fails or is cut off by
+the budget.
 
 The general decision asks, per value pair (a, b) and dimension d, whether
 prefix + a**d lies in the subpower generated by the prefixed proper
 overwrites of (a**d, b**d).  Permuting the last d coordinates maps that
 generator family onto itself, so the query can be asked over S_d-orbits
-(`orbits.orbit_membership` with one block of d): one tuple per generator
-orbit, the prefix then b at the first k coordinates for k = 1..d, in
-place of 2**d - 1 tuples.  The route depends on the compiled operations
+(`membership` with one block of d): one tuple per generator orbit, the
+prefix then b at the first k coordinates for k = 1..d, in place of
+2**d - 1 tuples.  The route depends on the compiled operations
 alone: orbits when every one is unary, or on two elements with arities at
 most 2; tuples (`membership` over `relations.mix_family`) everywhere else,
 where the margin tables of small queries cost more than the tuples they
@@ -206,11 +204,11 @@ def _stacked_query(algebra: FiniteAlgebra, selections: np.ndarray,
 #: on three or more elements the patterns close in batches (`close_codes`)
 #: and on two elements, whose saturating closures the engine's bit mode runs
 #: fastest, one `membership` query per pattern; beyond it each pattern is
-#: one orbit query (`orbits.orbit_membership`) where `_orbits_pay` holds,
-#: else one `membership` query.  For two elements the shared value is a
-#: choice, not their crossover: a saturating semilattice check is faster on
-#: orbits from d = 12 on, a passing lattice one about 4x faster on tuples at
-#: every d up to 14.
+#: one `membership` query, over orbits (`blocks`) where `_orbits_pay`
+#: holds.  For two elements the shared value is a choice, not their
+#: crossover: a saturating semilattice check is faster on orbits from
+#: d = 12 on, a passing lattice one about 4x faster on tuples at every d
+#: up to 14.
 POINTWISE_BATCH_SPACE = 1 << 12
 
 #: Cells of one batch's (patterns x n**d) generator matrix.
@@ -236,8 +234,6 @@ def _check_cube_pointwise(algebra: FiniteAlgebra, d: int, budget: Budget) -> boo
     space = n ** d
     batched = n > 2 and space <= POINTWISE_BATCH_SPACE
     orbits = space > POINTWISE_BATCH_SPACE and _orbits_pay(algebra)
-    if orbits:
-        from .orbits import orbit_membership  # imported on first use, see there
     edge_rows = _edge_rows(d)
     weights = n ** np.arange(d - 1, -1, -1)
     for a, b in _pattern_blocks(algebra, d, max(1, POINTWISE_BATCH_CELLS // space)):
@@ -251,12 +247,10 @@ def _check_cube_pointwise(algebra: FiniteAlgebra, d: int, budget: Budget) -> boo
         else:
             found, truncated = [], []
             for r in range(len(a)):
-                if orbits:  # blocks: the runs of equal pairs among 2..d-1
-                    runs = groupby(zip(a[r, 2:].tolist(), b[r, 2:].tolist()))
-                    ans = orbit_membership(algebra, [columns[r]], a[r], budget=budget,
-                                           blocks=[len(list(run)) for _, run in runs])
-                else:
-                    ans = membership(algebra, [columns[r]], a[r], budget=budget)
+                # over orbits, blocks are the runs of equal pairs among 2..d-1
+                runs = groupby(zip(a[r, 2:].tolist(), b[r, 2:].tolist())) if orbits else ()
+                ans = membership(algebra, [columns[r]], a[r], budget=budget,
+                                 blocks=[len(list(run)) for _, run in runs])
                 found.append(ans.found)
                 truncated.append(ans.truncated)
                 if not ans.found:
@@ -429,8 +423,6 @@ def decide_cube_general(algebra: FiniteAlgebra, cap: Optional[int] = None, *,
     n = algebra.size
     prefix = tuple(range(n))
     orbits = _orbits_pay(algebra)
-    if orbits:
-        from .orbits import orbit_membership  # imported on first use, see there
     failing: Optional[tuple[int, int]] = None
     for d in _deepening_schedule(cap):
         failing = None
@@ -442,11 +434,11 @@ def decide_cube_general(algebra: FiniteAlgebra, cap: Optional[int] = None, *,
                     reps = np.empty((d, n + d), dtype=np.int64)
                     reps[:, :n] = prefix
                     reps[:, n:] = np.where(np.arange(d) < np.arange(1, d + 1)[:, None], b, a)
-                    ans = orbit_membership(algebra, [reps], prefix + (a,) * d,
-                                           blocks=(d,), budget=budget)
+                    gens = [reps]
                 else:
                     gens = mix_family((a,) * d, (b,) * d, prefix=prefix)
-                    ans = membership(algebra, gens, prefix + (a,) * d, budget=budget)
+                ans = membership(algebra, gens, prefix + (a,) * d, budget=budget,
+                                 blocks=(d,) if orbits else ())
                 if ans.truncated and not ans.found:
                     return CubeDecision(
                         UNDECIDED, dimension_bound=d, failing_pair=(a, b),

@@ -1,5 +1,6 @@
-"""Closure over the orbits of a Young subgroup, for subpowers that
-permuting coordinates within blocks preserves.
+"""The orbit row format and margin tables of `subpower.membership`'s
+orbit queries, for subpowers that permuting coordinates within blocks
+preserves.
 
 A query of `subpower.membership` asks for the closure of a generator family
 inside A**(P + s_1 + ... + s_G).  When the family, and the target, are
@@ -18,54 +19,37 @@ model checking" (FMSD 1996).  Two queries have this form:
   2..d-1 that keeps their value pairs maps onto itself: the prefix is
   coordinates 0 and 1, and a block per value pair among the others.
 
-Both queries hand `orbit_membership` tuples, as `membership` takes them,
-and the block sizes: each tuple stands for its orbit.  An orbit is the
-prefix values plus, per block, one count per element of A: how many of the
-block's coordinates hold it; `_Orbits` alone builds these rows, from the
-tuples, and no caller sees them.  An m-ary operation applied to m tuples
-of given orbits gives the prefix op(p_1, ..., p_m) and, on each block, a
-count vector fixed by the m-way table of value combinations those tuples
-show there; every table with the block's argument count vectors as its
-margins occurs (Diaconis and Sturmfels, Ann. Statist. 1998, on tables with
-fixed margins), and the blocks vary independently, so the results are the
+Both queries hand `membership` tuples and the block sizes (`blocks=`):
+each tuple stands for its orbit.  An orbit is the prefix values plus, per
+block, one count per element of A: how many of the block's coordinates
+hold it; `_Orbits` alone builds these rows, from the tuples, and no caller
+sees them.  An m-ary operation applied to m tuples of given orbits gives
+the prefix op(p_1, ..., p_m) and, on each block, a count vector fixed by
+the m-way table of value combinations those tuples show there; every
+table with the block's argument count vectors as its margins occurs
+(Diaconis and Sturmfels, Ann. Statist. 1998, on tables with fixed
+margins), and the blocks vary independently, so the results are the
 prefix with the product of the per-block sets.  The orbit expander
 `_Orbits` makes these candidates for the closure core of `subpower`, which
-keys, stores and budgets them as it does tuples.
+keys, stores and budgets them as it does tuples; argument orbits and
+result sets are numbered by `algebra._ragged_index`, as the kernel's own
+ragged products are.
 
-This module is imported on first use: the orbit routes alone need it, and
-its compile time would otherwise land on every import of the package.
+`membership` imports this module on its first orbit query: the orbit
+routes alone need it, and its compile time would otherwise land on every
+import of the package.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .algebra import KERNEL_CELLS, FiniteAlgebra, _evaluate, _frontier, _Op, element_dtype
+from .algebra import (KERNEL_CELLS, FiniteAlgebra, _evaluate, _frontier, _Op, _ragged_index,
+                      element_dtype)
 from .relations import _digit_rows, _keys
-from .subpower import Budget, MembershipAnswer, _Engine, default_budget
-
-
-def _index_chunks(blocks, rows: int) -> Iterator[np.ndarray]:
-    """The index tuples of a sequence of products of (lo, hi) ranges, each
-    product in lexicographic order, as (tuples x factors) arrays of about
-    `rows` tuples: small products share an array."""
-    pending, size = [], 0
-    for ranges in blocks:
-        lens = [hi - lo for lo, hi in ranges]
-        total = math.prod(lens)
-        for start in range(0, total, rows):
-            flat = np.arange(start, min(total, start + rows))
-            pending.append(np.stack(np.unravel_index(flat, lens), axis=1)
-                           + [lo for lo, _ in ranges])
-            size += len(flat)
-            if size >= rows:
-                yield np.concatenate(pending)
-                pending, size = [], 0
-    if pending:
-        yield np.concatenate(pending)
 
 
 def _margin_tables(op: _Op, margins: np.ndarray):
@@ -151,7 +135,7 @@ class _Orbits:
         self.K = prefix + sum(sizes)  # the width of the tuples
         # per coordinate after the prefix: the offset of its block's counts
         self.cell_of = (np.arange(len(sizes)) * n).repeat(self.sizes)
-        self.base = max(n, max(sizes, default=0) + 1)
+        self.base = max(n, max(sizes) + 1)
         width = prefix + len(sizes) * n
         self.key_columns = np.array([c for c in range(width)
                                      if c < prefix or (c - prefix) % n < n - 1])
@@ -175,13 +159,14 @@ class _Orbits:
                               dtype=self.dtype, casting="unsafe")
 
     def candidates(self, store: np.ndarray, f_lo: int, f_hi: int) -> Iterator[np.ndarray]:
-        """One round's candidate orbits over the frontier blocks of orbit
-        indices, about `KERNEL_CELLS` cells of argument rows at a time."""
-        rows = max(1, KERNEL_CELLS // store.shape[1])
+        """One round's candidate orbits: the frontier blocks of (lo, hi)
+        index ranges as the rows of `_ragged_index`, about `KERNEL_CELLS`
+        cells of argument rows at a time."""
+        step = max(1, KERNEL_CELLS // store.shape[1])
         for i, op in enumerate(self.ops):
-            blocks = _frontier(op.arity, (0, f_lo), (f_lo, f_hi), (0, f_hi))
-            for index in _index_chunks(blocks, rows):
-                yield self._apply(i, op, [store[j] for j in index.T])
+            lo, hi = np.array(list(_frontier(op.arity, (0, f_lo), (f_lo, f_hi), (0, f_hi)))).T
+            for rows, picks in _ragged_index(list(hi - lo), step):
+                yield self._apply(i, op, [store[lo[j, rows] + p] for j, p in enumerate(picks)])
 
     def _apply(self, i: int, op: _Op, args: list) -> np.ndarray:
         P, n, k = self.P, self.n, len(args[0])
@@ -204,20 +189,14 @@ class _Orbits:
             for key, lo, hi in zip(missing, bounds[:-1], bounds[1:]):
                 self.tables[key] = counts[lo:hi]
         results = [self.tables[key] for key in keys]
+        every = np.concatenate(results)
         lens = np.array([len(r) for r in results], dtype=np.int64)
         starts = np.cumsum(lens) - lens
         which = inv.reshape(k, groups).T  # which[g][r]: the result set of row r on block g
-        per_block = lens[which]
-        per = per_block.prod(axis=0)  # the candidates of row r: one count vector per block
-        rep = np.repeat(np.arange(k), per)
-        t = np.arange(len(rep)) - np.repeat(np.cumsum(per) - per, per)
-        parts = [prefix[rep]]
-        if groups:
-            every = np.concatenate(results)
-            for g in reversed(range(groups)):
-                t, digit = np.divmod(t, per_block[g][rep])
-                parts.insert(1, every[starts[which[g]][rep] + digit])
-        return np.hstack(parts).astype(self.dtype)
+        # the candidates of row r: one count vector per block, its own product
+        rows, picks = next(_ragged_index(list(lens[which])))
+        blocks = [every[starts[w[rows]] + p] for w, p in zip(which, picks)]
+        return np.hstack([prefix[rows]] + blocks).astype(self.dtype)
 
     def size(self, members: np.ndarray) -> int:
         """The number of tuples the orbits hold: per orbit the product over
@@ -230,33 +209,3 @@ class _Orbits:
         whole = math.prod(map(math.factorial, self.sizes.tolist()))
         return sum(k * whole // math.prod(map(math.factorial, c))
                    for c, k in zip(counts[first].tolist(), times.tolist()))
-
-
-def orbit_membership(algebra: FiniteAlgebra, generators: Iterable,
-                     target: Sequence[int], *, blocks: Sequence[int],
-                     budget: Optional[Budget] = None) -> MembershipAnswer:
-    """`membership` in a subpower of A**(P + s_1 + ... + s_G) preserved by
-    every permutation that moves each of its last G blocks of coordinates,
-    of the sizes s_1, ..., s_G given by `blocks`, within itself, asked over
-    the orbits of those permutations.
-
-    The generators (2-D blocks or single rows) and the target are tuples
-    as for `membership`, the prefix being the first P = (row width) -
-    sum(blocks) coordinates; each tuple stands for its orbit, so any
-    tuples of the generator orbits do, and repeats cost nothing.  The orbit
-    closure holds exactly the orbits of the tuple closure of every tuple of
-    the generator orbits, and the depth at which a tuple first appears is
-    its orbit's, so found and witness_depth are those of that tuple query.
-    closure_size counts tuples (orbit sizes summed), while
-    `Budget.max_members` caps the stored orbits.  ValueError for rows that
-    `membership` refuses, block sizes below 1, or blocks wider than the
-    target.
-    """
-    if any(s < 1 for s in blocks):
-        raise ValueError(f"block sizes must be at least 1, got {list(blocks)}")
-    prefix = len(target) - sum(blocks)
-    if prefix < 0:
-        raise ValueError(f"blocks {list(blocks)} exceed the {len(target)} coordinates")
-    eng = _Engine(_Orbits(algebra, prefix, blocks), target, budget or default_budget())
-    eng.run(generators)
-    return eng.answer()

@@ -7,11 +7,11 @@ appears.
 
 One closure core (`_Engine`) runs every query, and an expander says what
 its members are and makes their candidates.  `_Tuples` makes the members
-the tuples themselves (`generate`, `membership`); `orbits._Orbits` makes
-them the orbits of a subpower that every permutation moving each of its
-last blocks of coordinates within itself preserves
-(`orbits.orbit_membership`: the general cube decision's pair queries, the
-pointwise check's large patterns).
+the tuples themselves (`generate`, `membership`); with `blocks`,
+`membership` has `orbits._Orbits` make them the orbits of a subpower that
+every permutation moving each of its last blocks of coordinates within
+itself preserves (the general cube decision's pair queries, the pointwise
+check's large patterns).  `membership` is the one entry point of both.
 
 The core absorbs the generators (a stream of 2-D row blocks, as
 `relations.mix_family` yields them, or of single rows) first, then closes
@@ -76,8 +76,8 @@ class Budget:
     """The run caps of one closure run.
 
     max_members caps how many members the closure may hold: tuples, or on
-    the orbit path (`orbits.orbit_membership`) stored orbits.  max_seconds is
-    wall-clock.  Hitting either, or running out of memory, stops the run
+    an orbit query (`membership` with `blocks`) stored orbits.  max_seconds
+    is wall-clock.  Hitting either, or running out of memory, stops the run
     with truncated=True rather than returning a wrong answer.  dense_limit
     is the largest key space (up to 2**62) whose seen keys are kept as a
     dense bool array, one byte per key; larger ones use sorted key runs.
@@ -371,7 +371,30 @@ def generate(algebra: FiniteAlgebra, generators: Iterable, *,
 
 
 def membership(algebra: FiniteAlgebra, generators: Iterable,
-               target: Sequence[int], *,
+               target: Sequence[int], *, blocks: Sequence[int] = (),
                budget: Optional[Budget] = None) -> MembershipAnswer:
-    """Does the target lie in the subpower generated by the family?"""
-    return _run(algebra, generators, target, None, budget).answer()
+    """Does the target lie in the subpower generated by the family?
+
+    With `blocks`, the sizes s_1, ..., s_G of the last G coordinate blocks
+    (the first P = len(target) - sum(blocks) coordinates being the
+    prefix), the query is asked over the orbits of the permutations that
+    move each block within itself (`orbits`), for families and targets
+    that those permutations preserve.  Each tuple then stands for its
+    orbit, so any tuples of the generator orbits do.  found and
+    witness_depth are the tuple query's, closure_size counts tuples (orbit
+    sizes summed) and `Budget.max_members` caps the stored orbits.
+    ValueError for rows `generate` refuses, and for block sizes that are
+    not integers of at least 1 or add up to more than the target's width.
+    """
+    if not len(blocks):
+        return _run(algebra, generators, target, None, budget).answer()
+    if not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool) and s >= 1
+               for s in blocks):
+        raise ValueError(f"block sizes must be integers of at least 1, got {list(blocks)}")
+    prefix = len(target) - sum(blocks)
+    if prefix < 0:
+        raise ValueError(f"blocks {list(blocks)} exceed the {len(target)} coordinates")
+    from .orbits import _Orbits  # imported on first use, see there
+    eng = _Engine(_Orbits(algebra, prefix, blocks), target, budget or default_budget())
+    eng.run(generators)
+    return eng.answer()

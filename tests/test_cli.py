@@ -3,7 +3,7 @@ import json
 import pytest
 
 from conftest import StarvedNumpy, binary_constant3
-from cubeterm import decide_cube, fixture, subpower
+from cubeterm import algebra, decide_cube, fixture, idempotent_quasigroup, subpower
 from cubeterm.cli import run
 
 
@@ -110,6 +110,24 @@ def test_out_of_memory_is_undecided(capsys, tmp_path, monkeypatch):
     assert rc == 1
     assert result["payload"]["verdict"] == "undecided"
     assert "Traceback" not in err
+
+
+def test_out_of_memory_in_sg_is_undecided(capsys, tmp_path, monkeypatch):
+    # the blocker path's batched Sg closure raises MemoryError when it
+    # cannot allocate a round; each command on it ends in a truncated
+    # envelope with exit 1, not a traceback
+    path = tmp_path / "q7.json"
+    path.write_text(json.dumps(idempotent_quasigroup(7).to_json()))
+
+    def starved(*args, **kwargs):
+        raise MemoryError("no room for a round")
+        yield
+
+    monkeypatch.setattr(algebra, "_ragged_product", starved)
+    for command in ("find-blocker", "decide-cube", "decide-nu"):
+        rc, result, err = invoke(capsys, command, str(path))
+        assert rc == 1 and result["payload"]["truncated"] is True, command
+        assert "Traceback" not in err
 
 
 def test_universe_above_256_elements(capsys, tmp_path):

@@ -37,7 +37,7 @@ from cubeterm import (
     minimal_cube_dimension,
     mix_family,
 )
-from cubeterm import decide, orbits
+from cubeterm import decide
 
 
 def _alg(n, *arities):
@@ -462,11 +462,12 @@ def test_pointwise_orbit_route_agrees_with_tuple_route(monkeypatch):
     # Meet, join, both lattices and projections, under both labellings:
     # the same answers at every d, and the same pattern named when a
     # budget cuts a check off
-    issued = []
+    issued = []  # the tuple queries, those without blocks
     tuple_query = decide.membership
 
     def capture(*args, **kwargs):
-        issued.append(args[0])
+        if not kwargs.get("blocks"):
+            issued.append(args[0])
         return tuple_query(*args, **kwargs)
 
     monkeypatch.setattr(decide, "membership", capture)
@@ -498,26 +499,22 @@ def _rows(gens):
 
 
 def test_pointwise_orbit_route_asks_the_tuple_queries(monkeypatch):
-    # beyond POINTWISE_BATCH_SPACE the orbit route hands `orbit_membership`
-    # the generator columns and target that the tuple route, forced by a
-    # stubbed routing rule, hands `membership`, pattern by pattern; its
-    # blocks are the runs of equal value pairs among the coordinates 2..d-1
+    # beyond POINTWISE_BATCH_SPACE the orbit route hands `membership` the
+    # generator columns and target that the tuple route, forced by a
+    # stubbed routing rule, hands it, pattern by pattern; its blocks are
+    # the runs of equal value pairs among the coordinates 2..d-1
     calls = {True: [], False: []}
-    tuple_query, orbit_query = decide.membership, orbits.orbit_membership
+    query = decide.membership
 
-    def capture_tuples(alg, gens, target, **kwargs):
-        calls[False].append((_rows(gens), list(target)))
-        return tuple_query(alg, gens, target, **kwargs)
-
-    def capture_orbits(alg, gens, target, *, blocks, **kwargs):
+    def capture(alg, gens, target, *, blocks=(), **kwargs):
         rows, d = _rows(gens), len(target)
-        calls[True].append((rows, list(target)))
-        b = [rows[1 + i][i] for i in range(d)]  # the column {i} holds b_i
-        assert list(blocks) == list(Counter(zip(target[2:], b[2:])).values())
-        return orbit_query(alg, gens, target, blocks=blocks, **kwargs)
+        calls[bool(len(blocks))].append((rows, list(target)))
+        if len(blocks):
+            b = [rows[1 + i][i] for i in range(d)]  # the column {i} holds b_i
+            assert list(blocks) == list(Counter(zip(target[2:], b[2:])).values())
+        return query(alg, gens, target, blocks=blocks, **kwargs)
 
-    monkeypatch.setattr(decide, "membership", capture_tuples)
-    monkeypatch.setattr(orbits, "orbit_membership", capture_orbits)
+    monkeypatch.setattr(decide, "membership", capture)
     for alg in (fixture("lattice2"), fixture("semilattice2")):
         for d in (13, 14):
             answers = []
@@ -531,17 +528,18 @@ def test_pointwise_orbit_route_asks_the_tuple_queries(monkeypatch):
 
 
 def test_general_orbit_route_asks_one_tuple_per_orbit(monkeypatch):
-    # the general route hands `orbit_membership` d tuples for the pair
-    # (a, b): the prefix, then b at the first k of the d coordinates, one
-    # tuple per orbit of the tuple route's family
+    # the general route hands `membership` d tuples for the pair (a, b)
+    # and one block of d: the prefix, then b at the first k of the d
+    # coordinates, one tuple per orbit of the tuple route's family
     seen = []
-    orbit_query = orbits.orbit_membership
+    query = decide.membership
 
-    def capture(alg, gens, target, *, blocks, **kwargs):
-        seen.append((_rows(gens), tuple(target), tuple(blocks)))
-        return orbit_query(alg, gens, target, blocks=blocks, **kwargs)
+    def capture(alg, gens, target, *, blocks=(), **kwargs):
+        if len(blocks):
+            seen.append((_rows(gens), tuple(target), tuple(blocks)))
+        return query(alg, gens, target, blocks=blocks, **kwargs)
 
-    monkeypatch.setattr(orbits, "orbit_membership", capture)
+    monkeypatch.setattr(decide, "membership", capture)
     for alg in (fixture("nand2"), fixture("constant3"), fixture("semilattice2")):
         seen.clear()
         decide_cube_general(alg, 8)
@@ -564,11 +562,12 @@ def test_general_path_routes_on_the_operations(monkeypatch):
     # elements with arities at most 2; tuple queries through `membership`
     # everywhere else.  Each routed decision equals the tuple path's, which
     # a stubbed routing rule forces here (expensive ones under a cap)
-    issued = []
+    issued = []  # the tuple queries, those without blocks
     tuple_query = decide.membership
 
     def capture(*args, **kwargs):
-        issued.append(args[0])
+        if not kwargs.get("blocks"):
+            issued.append(args[0])
         return tuple_query(*args, **kwargs)
 
     monkeypatch.setattr(decide, "membership", capture)
@@ -592,3 +591,34 @@ def test_general_path_routes_on_the_operations(monkeypatch):
         NO_CUBE, dimension_bound=16, failing_pair=(1, 0))
     assert decide_cube_general(join2) == CubeDecision(
         NO_CUBE, dimension_bound=16, failing_pair=(0, 1))
+
+
+def test_general_path_agrees_with_stacked_check():
+    # random non-idempotent algebras at d = 2, 3: a d-cube term (the
+    # stacked check) gives every pair's local term at d, so the general
+    # decision capped at d finds a cube term; a pair failing at d refutes
+    # a d-cube term.  Queries cut off by the per-query time cap are
+    # skipped (after a cut-off at d = 2, d = 3 too)
+    rng = random.Random(73)
+    budget = Budget(max_seconds=0.1)
+    outcomes = Counter()
+    for _ in range(24):
+        alg = random_algebra(rng, rng.choice([2, 3]),
+                             [rng.randint(1, 3) for _ in range(rng.randint(1, 2))])
+        if is_idempotent(alg):
+            continue
+        for d in (2, 3):
+            try:
+                stacked = check_cube_dim(alg, d, method="stacked", budget=budget)
+            except BudgetExceededError:
+                break
+            dec = decide_cube_general(alg, d, budget=budget)
+            if (dec.note or "").startswith("closure budget exhausted"):
+                continue
+            if stacked:
+                assert dec.verdict == HAS_CUBE, (alg, d, dec)
+                outcomes["cube term"] += 1
+            if dec.failing_pair is not None and dec.dimension_bound == d:
+                assert not stacked, (alg, d, dec)
+                outcomes["failing pair"] += 1
+    assert outcomes["cube term"] and outcomes["failing pair"], outcomes

@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from conftest import (
     random_algebra,
     random_idempotent_algebra,
 )
+import cubeterm
 from cubeterm import (
     UNDECIDED,
     Budget,
@@ -37,7 +42,7 @@ from cubeterm import (
     tuple_code,
 )
 from cubeterm.algebra import close_codes
-from cubeterm.orbits import _margin_tables, orbit_membership
+from cubeterm.orbits import _margin_tables
 
 
 def test_lattice_closure_of_antichain():
@@ -521,7 +526,7 @@ def orbit_queries(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(orbit_queries())
-def test_orbit_membership_matches_tuple_membership(case):
+def test_orbit_query_matches_tuple_query(case):
     # the general path's generator family goes to both queries, and the
     # tuple query is the oracle: the same found flag and depth for every
     # pair, and on saturated runs the orbit sizes sum to the tuple
@@ -532,50 +537,61 @@ def test_orbit_membership_matches_tuple_membership(case):
     for a, b in itertools.permutations(range(n), 2):
         gens, target = list(mix_family((a,) * d, (b,) * d, prefix=prefix)), prefix + (a,) * d
         tuples = membership(alg, gens, target)
-        orbits = orbit_membership(alg, gens, target, blocks=(d,))
+        orbits = membership(alg, gens, target, blocks=(d,))
         assert not tuples.truncated and not orbits.truncated
         assert (orbits.found, orbits.witness_depth) == (tuples.found, tuples.witness_depth)
         if not tuples.found:
             assert orbits.closure_size == tuples.closure_size
 
 
-def test_orbit_membership_counts_tuples_and_caps_orbits():
+def test_orbit_query_counts_tuples_and_caps_orbits():
     # x and not y on {0, 1} at d = 6, pair (1, 0): the closure misses the
     # target; its 12 orbits hold as many tuples as the tuple closure
     alg = FiniteAlgebra(2, (OperationTable("andnot", 2, (0, 0, 1, 0)),))
     gens, target = list(mix_family((1,) * 6, (0,) * 6, prefix=(0, 1))), (0, 1) + (1,) * 6
     tuples = membership(alg, gens, target)
-    full = orbit_membership(alg, gens, target, blocks=(6,))
+    full = membership(alg, gens, target, blocks=(6,))
     assert not full.found and not full.truncated
     assert full.closure_size == tuples.closure_size == 126
     # max_members caps the stored orbits, not the tuples they stand for
-    capped = orbit_membership(alg, gens, target, blocks=(6,), budget=Budget(max_members=6))
+    capped = membership(alg, gens, target, blocks=(6,), budget=Budget(max_members=6))
     assert capped.truncated and not capped.found
     assert 6 < capped.closure_size <= full.closure_size
     dec = decide_cube_general(alg, budget=Budget(max_members=3))
     assert dec.verdict == UNDECIDED and dec.note.startswith("closure budget exhausted")
     # the time cap as before
-    slow = orbit_membership(alg, gens, target, blocks=(6,), budget=Budget(max_seconds=0))
+    slow = membership(alg, gens, target, blocks=(6,), budget=Budget(max_seconds=0))
     assert slow.truncated and not slow.found
 
 
-def test_orbit_membership_checks_its_tuples():
-    # the rows as `membership` checks them, and block sizes of at least 1
-    # that fit into the target's coordinates; no blocks at all is
-    # `membership` itself
+def test_membership_checks_its_tuples_and_blocks():
+    # orbit queries check the rows as tuple queries do, and take block
+    # sizes that are integers (not bools) of at least 1 and fit into the
+    # target's coordinates; no blocks at all is the tuple query
     alg = fixture("nand2")
     gens, target = [(0, 1, 1, 0, 0)], (0, 1, 0, 0, 0)
-    assert orbit_membership(alg, gens, target, blocks=()) == membership(alg, gens, target)
-    for blocks in ((3,), (2, 1, 2), (5,)):
-        assert not orbit_membership(alg, gens, target, blocks=blocks).truncated
+    assert membership(alg, gens, target, blocks=()) == membership(alg, gens, target)
+    for blocks in ((3,), (2, 1, 2), (5,), np.array([2, 3])):
+        assert not membership(alg, gens, target, blocks=blocks).truncated
     for bad in ([(0, 1, 2, 0, 0)], [(0, 1, -1, 0, 0)], [(0, 1, 1, 0)], [(0, 1, 1, 0, 0, 0)]):
         with pytest.raises(ValueError):
-            orbit_membership(alg, bad, target, blocks=(3,))
+            membership(alg, bad, target, blocks=(3,))
     with pytest.raises(ValueError):
-        orbit_membership(alg, gens, (0, 1, 2, 0, 0), blocks=(3,))
-    for blocks in ((0,), (3, 0), (-1, 3), (6,), (3, 3)):
+        membership(alg, gens, (0, 1, 2, 0, 0), blocks=(3,))
+    for blocks in ((0,), (3, 0), (-1, 3), (6,), (3, 3), (1.5, 1.5), ("2",), (True, 2)):
         with pytest.raises(ValueError):
-            orbit_membership(alg, gens, target, blocks=blocks)
+            membership(alg, gens, target, blocks=blocks)
+
+
+def test_orbits_module_loads_on_the_first_orbit_query():
+    # `import cubeterm` leaves the orbit module out, so its compile time
+    # stays off every import; the first query with blocks loads it
+    script = ("import sys, cubeterm as ct; assert 'cubeterm.orbits' not in sys.modules; "
+              "ct.membership(ct.fixture('lattice2'), [(0, 1)], (1, 0), blocks=(2,)); "
+              "assert 'cubeterm.orbits' in sys.modules")
+    src = str(Path(cubeterm.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=60)
 
 
 @st.composite
@@ -607,7 +623,7 @@ def orbit_tuples(sizes, row):
 
 @settings(max_examples=100, deadline=None)
 @given(young_orbit_queries())
-def test_young_orbit_membership_matches_tuple_membership(case):
+def test_young_orbit_query_matches_tuple_query(case):
     # every tuple of the generator orbits goes to both queries, and the
     # tuple query is the oracle: the same found flag, depth and
     # truncation, and on saturated runs the orbit sizes sum to the tuple
@@ -615,7 +631,7 @@ def test_young_orbit_membership_matches_tuple_membership(case):
     alg, sizes, gens, target = case
     family = [t for row in gens for t in orbit_tuples(sizes, row)]
     tuples = membership(alg, family, target)
-    orbits = orbit_membership(alg, family, target, blocks=sizes)
+    orbits = membership(alg, family, target, blocks=sizes)
     assert (orbits.found, orbits.witness_depth, orbits.truncated) == \
         (tuples.found, tuples.witness_depth, tuples.truncated)
     if not tuples.found:
