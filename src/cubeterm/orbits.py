@@ -49,7 +49,7 @@ import numpy as np
 
 from .algebra import (KERNEL_CELLS, FiniteAlgebra, _evaluate, _frontier, _Op, _ragged_index,
                       element_dtype)
-from .relations import _digit_rows, _keys
+from .relations import _digit_rows, _first_unique, _keys
 
 
 def _margin_tables(op: _Op, margins: np.ndarray):
@@ -105,9 +105,9 @@ def _margin_tables(op: _Op, margins: np.ndarray):
         state[:, cols] -= t[:, None]
         state[:, left + int(op.table[c])] += t
         if not forced:
-            state = state[np.unique(_keys(state, base), return_index=True)[1]]
+            state = state[_first_unique(_keys(state, base))[1]]
     state = state[:, [0] + list(range(left, left + n))]
-    state = state[np.unique(_keys(state, base), return_index=True)[1]]
+    state = state[_first_unique(_keys(state, base))[1]]
     return state[:, 0], state[:, 1:]
 
 
@@ -178,8 +178,7 @@ class _Orbits:
             return np.hstack([prefix, counts.reshape(k, groups * n)]).astype(self.dtype)
         # row r * G + g: the m argument count vectors of row r on block g
         margins = np.hstack([a[:, P:].reshape(k * groups, n) for a in args])
-        _, first, inv = np.unique(_keys(margins, self.base), return_index=True,
-                                  return_inverse=True)
+        _, first, inv = _first_unique(_keys(margins, self.base), return_inverse=True)
         keys = [(i, tuple(row)) for row in margins[first].tolist()]
         missing = [key for key in keys if key not in self.tables]
         if missing:
@@ -204,8 +203,7 @@ class _Orbits:
         (the product of the block sizes' factorials over that of the
         counts'), summed."""
         counts = members[:, self.P:]
-        _, first, times = np.unique(_keys(counts, self.base), return_index=True,
-                                    return_counts=True)
+        _, first, times = _first_unique(_keys(counts, self.base), return_counts=True)
         whole = math.prod(map(math.factorial, self.sizes.tolist()))
         return sum(k * whole // math.prod(map(math.factorial, c))
                    for c, k in zip(counts[first].tolist(), times.tolist()))

@@ -6,7 +6,8 @@ like operation tables: code(t) = t[0]*n**(k-1) + ... + t[k-1].  Rows are
 sorted and looked up by one key that orders like the code (`_keys`): the
 code itself while it fits int64, the big-endian digits beyond.  A relation
 holds its members as one row array in the element dtype, sorted by code;
-the closure engine of `subpower` keys its members the same way.
+the closure engine of `subpower` keys its members the same way.  This
+module, `subpower` and `orbits` deduplicate keys with `_first_unique`.
 """
 
 from __future__ import annotations
@@ -65,6 +66,26 @@ def _in_sorted(sorted_keys: np.ndarray, probe: np.ndarray) -> np.ndarray:
     return sorted_keys[at] == probe
 
 
+def _first_unique(keys: np.ndarray, return_inverse=False, return_counts=False) -> tuple:
+    """`np.unique(keys, return_index=True, ...)` of 1-D keys by numpy's
+    unstable (SIMD) sort, not its slower stable one: the least index in a
+    run of equal keys is their first occurrence."""
+    order = keys.argsort()
+    ordered = keys[order]
+    edge = np.empty(len(keys), bool)
+    edge[:1] = True
+    edge[1:] = ordered[1:] != ordered[:-1]  # the operator, not the ufunc, compares void keys
+    starts = np.flatnonzero(edge)
+    out = (ordered[starts], np.minimum.reduceat(order, starts) if len(keys) else order)
+    if return_inverse:
+        inverse = np.empty(len(keys), np.intp)
+        inverse[order] = np.cumsum(edge) - 1
+        out += (inverse,)
+    if return_counts:
+        out += (np.diff(starts, append=len(keys)),)
+    return out
+
+
 def _digit_rows(rows, arity: int, n: int) -> np.ndarray:
     """rows as a 2-D array in the element dtype.
 
@@ -99,7 +120,7 @@ class Relation:
         self.n = n
         self.arity = arity
         rows = _digit_rows(rows, arity, n)
-        self._index, first = np.unique(_keys(rows, n), return_index=True)
+        self._index, first = _first_unique(_keys(rows, n))
         self.rows = rows[first]
         self.rows.flags.writeable = False
 

@@ -26,13 +26,15 @@ and a `MemoryError` ends a run as truncated.
 
 Members are deduplicated by their keys, for tuples the `relations._keys`
 of `Relation`: int64 tuple codes while n**K <= 2**62, big-endian bytes
-keys beyond.  The keys seen so far go in a dense bitset, one byte per
-code, while the key space is at most `Budget.dense_limit` and the keys are
-int64, and otherwise in sorted key runs: each chunk's fresh keys are
+keys beyond, a chunk's own duplicates dropped by `relations._first_unique`.
+The keys seen so far go in sorted key runs: each chunk's fresh keys are
 appended as a run, merged with the previous run while that is at most
 twice as long (log-structured merging, after O'Neil et al., "The
-log-structured merge-tree", 1996).  Either way fresh members are appended
-in first-occurrence order.
+log-structured merge-tree", 1996).  While the key space is at most
+`Budget.dense_limit` and the keys are int64, a dense bitset, one byte per
+code, replaces the runs once the query has absorbed space / `_DENSE_FILL`
+candidates, so a sparse closure in a big space never zeroes one.  Either
+way fresh members are appended in first-occurrence order.
 
 Operations come from the algebra's compiled form (`FiniteAlgebra.compiled`,
 built once per algebra and shared by every query): numpy tables in the
@@ -62,13 +64,19 @@ import numpy as np
 
 from .algebra import KERNEL_CELLS, FiniteAlgebra, _evaluate, _frontier, _Op, _product
 from .errors import InputError
-from .relations import INT64_CODES, Relation, _digit_rows, _in_sorted, _keys
+from .relations import INT64_CODES, Relation, _digit_rows, _first_unique, _in_sorted, _keys
 
 #: Largest code space held as a dense bool array (2**26 codes = 64 MiB).
 DENSE_CODE_LIMIT = 1 << 26
 
 #: Most single tuples in one generator block, the budget checked after each.
 TUPLE_BLOCK = 1 << 12
+
+# The fill at which a query builds its bitset, as space / _DENSE_FILL absorbed
+# candidates.  Sweep (median of 9): 16, 64 and 256 slow check_nu(semilattice2,
+# 11) 3.3x, 1.5x and 1.1x against 1024; from 4096 on check_nu(lattice2, 11) takes
+# 2.8 against 0.75 ms, and from 16384 on check_edge_dim(lattice2, 12) 8.7 against 1.4.
+_DENSE_FILL = 1024
 
 
 @dataclass
@@ -79,8 +87,9 @@ class Budget:
     an orbit query (`membership` with `blocks`) stored orbits.  max_seconds
     is wall-clock.  Hitting either, or running out of memory, stops the run
     with truncated=True rather than returning a wrong answer.  dense_limit
-    is the largest key space (up to 2**62) whose seen keys are kept as a
-    dense bool array, one byte per key; larger ones use sorted key runs.
+    is the largest key space (up to 2**62) whose seen keys go in a dense
+    bool array, one byte per key, once as many candidates as 1/1024 of it
+    have been absorbed; until then, and in larger spaces, in sorted key runs.
     The kernel's chunk size is the module constant `KERNEL_CELLS`, not a
     cap.
     """
@@ -137,8 +146,9 @@ class _Engine:
         self.budget = budget
         self.count = 0
         self.store = np.empty((0,) + expander.row_shape, expander.dtype)  # grown in `run`
-        self.runs: list[np.ndarray] = []  # sorted key runs; `run` may make a bitset
+        self.runs: list[np.ndarray] = []  # sorted key runs, until `absorb` makes a bitset
         self.known_bits: Optional[np.ndarray] = None
+        self.dense_at: Optional[int] = None  # candidates left before the bitset is built
         self.target_key = None if target is None else \
             expander.keys(expander.members(np.array([target])))[0]
         self.found = False
@@ -179,15 +189,22 @@ class _Engine:
         members are appended in the order of their first occurrence.
         """
         keys = self.ex.keys(cands)
+        if self.dense_at is not None:
+            self.dense_at -= len(keys)
+            if self.dense_at <= 0:
+                bits = np.zeros(self.ex.space, bool)
+                for run in self.runs:
+                    bits[run] = True
+                self.known_bits, self.runs, self.dense_at = bits, [], None
         if self.known_bits is not None:
             fresh = (~self.known_bits[keys]).nonzero()[0]
             if not len(fresh):
                 return
-            uniq, first = np.unique(keys[fresh], return_index=True)
+            uniq, first = _first_unique(keys[fresh])
             first = fresh[first]
             self.known_bits[uniq] = True
         else:
-            uniq, first = np.unique(keys, return_index=True)
+            uniq, first = _first_unique(keys)
             for run in self.runs:
                 new = ~_in_sorted(run, uniq)
                 uniq, first = uniq[new], first[new]
@@ -217,7 +234,7 @@ class _Engine:
         try:
             space = self.ex.space  # the bitset is indexed by int64 keys
             if space <= min(self.budget.dense_limit, INT64_CODES):
-                self.known_bits = np.zeros(space, bool)
+                self.dense_at = space // _DENSE_FILL
             for block in _row_blocks(gens):
                 self.absorb(self.ex.members(block), 0)
                 if self._over_budget():

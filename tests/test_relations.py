@@ -22,6 +22,7 @@ from cubeterm import (
     tuple_code,
     verify_blocker,
 )
+from cubeterm.relations import _first_unique, _keys
 
 PAPER_BINARY = [(0, 0), (0, 1), (1, 1)]  # compatible elusive relation of lattice2
 
@@ -344,3 +345,22 @@ def test_relation_above_256_elements_in_code_order():
     # uint16 rows on both sides of n**K = 2**62 (300**7 < 2**62 < 300**8)
     for k in (7, 8):
         check_keys_like_codes(rng, 300, k)
+
+
+def test_first_unique_matches_np_unique():
+    rng = np.random.default_rng(16)
+    many = rng.integers(0, 500, 5000)
+    cases = [many, np.empty(0, np.int64), np.array([7]), np.full(9, 4),
+             np.arange(20), np.arange(20)[::-1].copy()]
+    # void keys of rows past 2**62 (3**40 codes), with repeated rows
+    rows = rng.integers(0, 3, (60, 40)).astype(np.uint8)
+    cases.append(_keys(rows[rng.integers(0, 60, 300)], 3))
+    assert cases[-1].dtype.kind == "V"
+    for keys in cases:
+        for inverse, counts in ((False, False), (True, False), (False, True), (True, True)):
+            got = _first_unique(keys, return_inverse=inverse, return_counts=counts)
+            want = np.unique(keys, return_index=True, return_inverse=inverse,
+                             return_counts=counts)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,8 @@ from cubeterm import (
     Relation,
     algebra,
     check_cube_dim,
+    check_edge_dim,
+    check_nu,
     code_tuple,
     decide_cube_general,
     default_budget,
@@ -166,6 +169,35 @@ def test_out_of_memory_leaves_general_decision_undecided(monkeypatch):
     assert dec.verdict == UNDECIDED and dec.dimension_bound == 1
 
 
+def test_dense_bitset_is_built_on_demand(monkeypatch):
+    # a sparse closure in a big code space never zeroes the bitset (the
+    # edge query's space is 2**26, constant3's orbit keys 28**5 at d = 27),
+    # and the answers are those of a run that never builds one
+    runs = [(check_edge_dim, fixture("lattice2"), 12),
+            (decide_cube_general, fixture("constant3"))]
+    for f, *args in runs:
+        answer = f(*args)
+        tracemalloc.start()
+        try:
+            assert f(*args) == answer
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+        assert f(*args, budget=Budget(dense_limit=1)) == answer
+    # a small saturating query does build it
+    engines = []
+    run = subpower._Engine.run
+
+    def spy(eng, gens):
+        engines.append(eng)
+        run(eng, gens)
+
+    monkeypatch.setattr(subpower._Engine, "run", spy)
+    assert check_nu(fixture("semilattice2"), 9) is False
+    assert engines and all(eng.known_bits is not None for eng in engines)
+
+
 def test_found_before_truncation_wins():
     budget = Budget(max_members=3)
     ans = membership(fixture("lattice2"), [(0, 1), (1, 0)], (0, 1),
@@ -228,6 +260,28 @@ def test_backends_agree(monkeypatch):
             wide_found = membership(alg, [g * r for g in gens], tuple(t) * r)
             assert (narrow.found, narrow.witness_depth) == (wide_found.found,
                                                             wide_found.witness_depth)
+
+    # code spaces of 2**14 and 3**9: a run starts on sorted key runs and
+    # switches to the bitset after several tiny chunks, once it has absorbed
+    # space / _DENSE_FILL candidates, with the members of a run that never does
+    absorb = subpower._Engine.absorb
+    had_bits = []
+
+    def spy(eng, cands, depth):
+        had_bits.append(eng.known_bits is not None)
+        absorb(eng, cands, depth)
+
+    monkeypatch.setattr(subpower._Engine, "absorb", spy)
+    monkeypatch.setattr(subpower, "KERNEL_CELLS", 16)
+    for alg, n, k in ((fixture("lattice2"), 2, 14), (random_algebra(rng, 3, [1, 1]), 3, 9)):
+        gens = [tuple(rng.randrange(n) for _ in range(k)) for _ in range(3)]
+        for tgt in (None, tuple(rng.randrange(n) for _ in range(k))):
+            had_bits.clear()
+            eng, rows, ans = engine_run(alg, gens, k, tgt)
+            if tgt is None:
+                assert not any(had_bits[:3]) and eng.known_bits is not None and not eng.runs
+            _, run_rows, run_ans = engine_run(alg, gens, k, tgt, Budget(dense_limit=1))
+            assert rows == run_rows and ans == run_ans
 
 
 def test_non_integer_rows_rejected():
