@@ -88,8 +88,9 @@ class Budget:
     is wall-clock.  Hitting either, or running out of memory, stops the run
     with truncated=True rather than returning a wrong answer.  dense_limit
     is the largest key space (up to 2**62) whose seen keys go in a dense
-    bool array, one byte per key, once as many candidates as 1/1024 of it
-    have been absorbed; until then, and in larger spaces, in sorted key runs.
+    bool array, one byte per key, once a fixed fraction of it
+    (`_DENSE_FILL`) has been absorbed; until then, and in larger spaces, in
+    sorted key runs.
     The kernel's chunk size is the module constant `KERNEL_CELLS`, not a
     cap.
     """
