@@ -6,10 +6,10 @@ a cube term iff for every value pair (a, b) the prefixed constant tuple
 for a is generated by the prefixed proper overwrites of (a..a, b..b) at
 the dimension bound n**3 * m.  Passing all pairs at ANY depth already
 proves a cube term exists, so the decision deepens iteratively and only
-a negative answer pays for the full bound.  For unary operations, and for
-operations of arity at most 2 on two elements, each query closes orbits
-under permutations of the last d coordinates instead of tuples, which
-makes the full bound cheap there.
+a negative answer pays for the full bound.  From d = 13 on, where the
+2**d - 1 overwrites outgrow one 4,096-row generator block, each query
+closes orbits under permutations of the last d coordinates instead of
+tuples, whatever the operations, which makes the full bound reachable.
 """
 
 import time

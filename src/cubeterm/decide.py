@@ -31,14 +31,13 @@ on three or more elements with a code space n**d of at most
 pattern order, go to one batched closure over the codes of A**d
 (`algebra.close_codes`), and a negative check stops at the first block
 that holds a failing pattern.  Every other space asks one `membership`
-query per pattern, the pattern's d + 1 columns and target.  In larger
-spaces, where the general path's routing rule (`_orbits_pay`, below)
-holds, it closes orbits: a permutation of the coordinates 2..d-1 that
-keeps their value pairs maps the edge columns onto themselves, so the
-query passes as `blocks` the runs of equal value pairs among those
-coordinates, which are consecutive in a sorted pattern.  Either way the
-answer is that of the first pattern in order that fails or is cut off by
-the budget.
+query per pattern, the pattern's d + 1 columns and target.  Beyond
+`POINTWISE_BATCH_SPACE` on two elements with arities at most 2, it closes
+orbits: a permutation of the coordinates 2..d-1 that keeps their value
+pairs maps the edge columns onto themselves, so the query passes as
+`blocks` the runs of equal value pairs among those coordinates, which are
+consecutive in a sorted pattern.  Either way the answer is that of the
+first pattern in order that fails or is cut off by the budget.
 
 The general decision asks, per value pair (a, b) and dimension d, whether
 prefix + a**d lies in the subpower generated by the prefixed proper
@@ -46,11 +45,11 @@ overwrites of (a**d, b**d).  Permuting the last d coordinates maps that
 generator family onto itself, so the query can be asked over S_d-orbits
 (`membership` with one block of d): one tuple per generator orbit, the
 prefix then b at the first k coordinates for k = 1..d, in place of
-2**d - 1 tuples.  The route depends on the compiled operations
-alone: orbits when every one is unary, or on two elements with arities at
-most 2; tuples (`membership` over `relations.mix_family`) everywhere else,
-where the margin tables of small queries cost more than the tuples they
-stand for.
+2**d - 1 tuples.  Each query picks its route by that family size alone:
+tuples (`membership` over `relations.mix_family`) while the 2**d - 1
+overwrites fit one generator block (`relations.TUPLE_BLOCK`, so d <= 12),
+where the margin tables cost more than the tuples they stand for, and
+orbits from d = 13 on, whatever the operations.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ import numpy as np
 from .algebra import FiniteAlgebra, close_codes, full_mask, is_idempotent
 from .blockers import Blocker, find_blocker
 from .errors import BudgetExceededError
-from .relations import mix_family
+from .relations import TUPLE_BLOCK, mix_family
 from .subpower import Budget, default_budget, membership
 
 HAS_CUBE = "has_cube_term"
@@ -204,11 +203,12 @@ def _stacked_query(algebra: FiniteAlgebra, selections: np.ndarray,
 #: on three or more elements the patterns close in batches (`close_codes`)
 #: and on two elements, whose saturating closures the engine's bit mode runs
 #: fastest, one `membership` query per pattern; beyond it each pattern is
-#: one `membership` query, over orbits (`blocks`) where `_orbits_pay`
-#: holds.  For two elements the shared value is a choice, not their
-#: crossover: a saturating semilattice check is faster on orbits from
-#: d = 12 on, a passing lattice one about 4x faster on tuples at every d
-#: up to 14.
+#: one `membership` query, over orbits (`blocks`) on two elements with
+#: arities at most 2, over tuples elsewhere (passing three-element checks
+#: at d = 8 and 9 run about 10x slower on orbits).  For two elements the
+#: shared value is a choice, not their crossover: a saturating semilattice
+#: check is faster on orbits from d = 12 on, a passing lattice one about
+#: 4x faster on tuples at every d up to 14.
 POINTWISE_BATCH_SPACE = 1 << 12
 
 #: Cells of one batch's (patterns x n**d) generator matrix.
@@ -233,7 +233,8 @@ def _check_cube_pointwise(algebra: FiniteAlgebra, d: int, budget: Budget) -> boo
     n = algebra.size
     space = n ** d
     batched = n > 2 and space <= POINTWISE_BATCH_SPACE
-    orbits = space > POINTWISE_BATCH_SPACE and _orbits_pay(algebra)
+    orbits = space > POINTWISE_BATCH_SPACE and n == 2 and \
+        all(op.arity <= 2 for op in algebra.compiled.ops)
     edge_rows = _edge_rows(d)
     weights = n ** np.arange(d - 1, -1, -1)
     for a, b in _pattern_blocks(algebra, d, max(1, POINTWISE_BATCH_CELLS // space)):
@@ -381,18 +382,6 @@ def _deepening_schedule(cap: int) -> list[int]:
     return ds
 
 
-def _orbits_pay(algebra: FiniteAlgebra) -> bool:
-    """The routing rule of both orbit routes (the general path's pair
-    queries, the pointwise check's large patterns): orbit queries when every
-    compiled operation is unary, or on two elements with arities at most 2.
-    Elsewhere, on three elements with a binary operation or on two with a
-    ternary one, the margin tables of small queries cost more than the
-    tuples they stand for."""
-    ops = algebra.compiled.ops
-    return all(op.arity == 1 for op in ops) or \
-        (algebra.size == 2 and all(op.arity <= 2 for op in ops))
-
-
 def decide_cube_general(algebra: FiniteAlgebra, cap: Optional[int] = None, *,
                         budget: Optional[Budget] = None) -> CubeDecision:
     """Decision for arbitrary algebras, exponential in the worst case.
@@ -407,11 +396,11 @@ def decide_cube_general(algebra: FiniteAlgebra, cap: Optional[int] = None, *,
     runs the deepening too (`decide_cube` routes it to the blocker search
     instead).  A cap below 1 is a ValueError.
 
-    Where every compiled operation is unary, or on two elements with
-    arities at most 2, each query closes S_d-orbits instead of tuples (see
-    the module docstring) with the same answer; there
-    `budget.max_members` caps the stored orbits.  So constant3 reaches its
-    full bound 27 in milliseconds.
+    From d = 13 on, where the 2**d - 1 tuples outgrow one generator
+    block, each query closes S_d-orbits instead of tuples (see the module
+    docstring) with the same answer; there `budget.max_members` caps the
+    stored orbits.  So constant3 reaches its full bound 27 in milliseconds
+    and a binary constant on three elements its bound 54 in seconds.
     """
     _check_cap(cap)
     trivial = _trivial_decisions(algebra)
@@ -422,10 +411,10 @@ def decide_cube_general(algebra: FiniteAlgebra, cap: Optional[int] = None, *,
     cap = bound if cap is None else min(cap, bound)
     n = algebra.size
     prefix = tuple(range(n))
-    orbits = _orbits_pay(algebra)
     failing: Optional[tuple[int, int]] = None
     for d in _deepening_schedule(cap):
         failing = None
+        orbits = 2 ** d - 1 > TUPLE_BLOCK  # tuples while the family fits one block
         for a in range(n):
             for b in range(n):
                 if a == b:

@@ -195,9 +195,13 @@ def mix(a: Sequence[int], b: Sequence[int], coords: Iterable[int]) -> tuple[int,
     return tuple(out)
 
 
-#: Masks run through in blocks of 2**_LOW_BITS: the low bits of the mask
-#: come from one cached bit table, the high bits are constant in a block.
-_LOW_BITS = 12
+#: Most tuples in one generator block: `mix_family` yields its masks in
+#: blocks of TUPLE_BLOCK = 2**_LOW_BITS, whose low bits come from one cached
+#: bit table while the high bits are constant, and `subpower` cuts runs of
+#: single tuples into blocks of at most TUPLE_BLOCK, the budget checked
+#: after each.
+TUPLE_BLOCK = 1 << 12
+_LOW_BITS = TUPLE_BLOCK.bit_length() - 1
 
 
 @lru_cache(maxsize=64)
@@ -219,9 +223,9 @@ def mix_family(a: Sequence[int], b: Sequence[int],
     """Deduplicated stream of prefix + mix(a, b, I) over all nonempty I.
 
     There are 2**k - 1 subsets, so the family is streamed rather than
-    materialized, as 2-D arrays of at most 4096 rows each in the smallest
-    unsigned dtype that holds every entry (uint8 below 256; int64 when an
-    entry is negative).
+    materialized, as 2-D arrays of at most TUPLE_BLOCK rows each in the
+    smallest unsigned dtype that holds every entry (uint8 below 256; int64
+    when an entry is negative).
     Duplicates arise exactly from coordinates where a and b agree; the
     stream enumerates only the distinct results, in the order of their
     first appearance when I runs through the nonzero bitmasks in

@@ -64,13 +64,11 @@ import numpy as np
 
 from .algebra import KERNEL_CELLS, FiniteAlgebra, _evaluate, _frontier, _Op, _product
 from .errors import InputError
-from .relations import INT64_CODES, Relation, _digit_rows, _first_unique, _in_sorted, _keys
+from .relations import (INT64_CODES, TUPLE_BLOCK, Relation, _digit_rows, _first_unique,
+                        _in_sorted, _keys)
 
 #: Largest code space held as a dense bool array (2**26 codes = 64 MiB).
 DENSE_CODE_LIMIT = 1 << 26
-
-#: Most single tuples in one generator block, the budget checked after each.
-TUPLE_BLOCK = 1 << 12
 
 # The fill at which a query builds its bitset, as space / _DENSE_FILL absorbed
 # candidates.  Sweep (median of 9): 16, 64 and 256 slow check_nu(semilattice2,

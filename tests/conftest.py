@@ -160,7 +160,8 @@ def brute_force_find_blocker(algebra: FiniteAlgebra):
 
 def binary_constant3() -> FiniteAlgebra:
     """({0,1,2}, c(x, y) = 2): constant3's clone, but with a binary
-    operation on three elements, so the general path asks tuple queries."""
+    operation on three elements, so the general path's orbit queries
+    (d >= 13) close under a binary operation beyond two elements."""
     return FiniteAlgebra(3, (OperationTable("c2", 2, (2,) * 9),))
 
 

@@ -100,15 +100,18 @@ def test_constant3_full_bound_decides(capsys, algebra_file):
 
 
 def test_out_of_memory_is_undecided(capsys, tmp_path, monkeypatch):
-    # general deepening to the full bound over tuples (a binary constant on
-    # three elements): once the engine cannot allocate, the run ends in an
-    # undecided envelope, not a traceback
+    # general deepening over tuples (a binary constant on three elements,
+    # capped at 12, no bitset): once the member store cannot grow to the
+    # 4095 generators of d = 12, the run ends in an undecided envelope at
+    # that dimension, not a traceback
     path = tmp_path / "binary_constant3.json"
     path.write_text(json.dumps(binary_constant3().to_json()))
-    monkeypatch.setattr(subpower, "np", StarvedNumpy(1 << 18))
-    rc, result, err = invoke(capsys, "decide-cube", str(path))
+    monkeypatch.setenv("CUBETERM_BUDGET_BYTES", "1")
+    monkeypatch.setattr(subpower, "np", StarvedNumpy(1 << 15))
+    rc, result, err = invoke(capsys, "decide-cube", str(path), "--cap", "12")
     assert rc == 1
     assert result["payload"]["verdict"] == "undecided"
+    assert result["payload"]["dimension_bound"] == 12
     assert "Traceback" not in err
 
 

@@ -6,7 +6,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 
-from conftest import random_algebra, random_idempotent_algebra
+from conftest import binary_constant3, random_algebra, random_idempotent_algebra
 from cubeterm import (
     HAS_CUBE,
     NO_CUBE,
@@ -457,8 +457,8 @@ def test_stacked_columns_match_per_column_rule(monkeypatch):
 
 def test_pointwise_orbit_route_agrees_with_tuple_route(monkeypatch):
     # beyond POINTWISE_BATCH_SPACE a two-element algebra with arities at
-    # most 2 asks one orbit query per pattern; with the routing rule
-    # stubbed to False it asks the tuple queries of the smaller spaces.
+    # most 2 asks one orbit query per pattern; with POINTWISE_BATCH_SPACE
+    # raised to 2**d it asks the tuple queries of the smaller spaces.
     # Meet, join, both lattices and projections, under both labellings:
     # the same answers at every d, and the same pattern named when a
     # budget cuts a check off
@@ -480,14 +480,16 @@ def test_pointwise_orbit_route_agrees_with_tuple_route(monkeypatch):
                 issued.clear()
                 orbits = check_cube_dim(alg, d)
                 assert bool(issued) == (2 ** d <= decide.POINTWISE_BATCH_SPACE)
+                issued.clear()
                 with monkeypatch.context() as patch:
-                    patch.setattr(decide, "_orbits_pay", lambda algebra: False)
+                    patch.setattr(decide, "POINTWISE_BATCH_SPACE", 2 ** d)
                     assert check_cube_dim(alg, d) == orbits, (swapped, d)
+                assert issued
             for budget in (Budget(max_members=2), Budget(max_seconds=0)):
                 errors = []
-                for pay in (True, False):
+                for space in (decide.POINTWISE_BATCH_SPACE, 2 ** 13):
                     with monkeypatch.context() as patch:
-                        patch.setattr(decide, "_orbits_pay", lambda algebra: pay)
+                        patch.setattr(decide, "POINTWISE_BATCH_SPACE", space)
                         with pytest.raises(BudgetExceededError) as err:
                             check_cube_dim(alg, 13, budget=budget)
                     errors.append(str(err.value))
@@ -500,8 +502,8 @@ def _rows(gens):
 
 def test_pointwise_orbit_route_asks_the_tuple_queries(monkeypatch):
     # beyond POINTWISE_BATCH_SPACE the orbit route hands `membership` the
-    # generator columns and target that the tuple route, forced by a
-    # stubbed routing rule, hands it, pattern by pattern; its blocks are
+    # generator columns and target that the tuple route, forced by raising
+    # POINTWISE_BATCH_SPACE to 2**d, hands it, pattern by pattern; its blocks are
     # the runs of equal value pairs among the coordinates 2..d-1
     calls = {True: [], False: []}
     query = decide.membership
@@ -518,10 +520,10 @@ def test_pointwise_orbit_route_asks_the_tuple_queries(monkeypatch):
     for alg in (fixture("lattice2"), fixture("semilattice2")):
         for d in (13, 14):
             answers = []
-            for pay in (True, False):
+            for pay, space in ((True, decide.POINTWISE_BATCH_SPACE), (False, 2 ** d)):
                 calls[pay].clear()
                 with monkeypatch.context() as patch:
-                    patch.setattr(decide, "_orbits_pay", lambda algebra: pay)
+                    patch.setattr(decide, "POINTWISE_BATCH_SPACE", space)
                     answers.append(check_cube_dim(alg, d))
             assert answers[0] == answers[1]
             assert calls[True] == calls[False] and calls[True], (alg, d)
@@ -530,7 +532,8 @@ def test_pointwise_orbit_route_asks_the_tuple_queries(monkeypatch):
 def test_general_orbit_route_asks_one_tuple_per_orbit(monkeypatch):
     # the general route hands `membership` d tuples for the pair (a, b)
     # and one block of d: the prefix, then b at the first k of the d
-    # coordinates, one tuple per orbit of the tuple route's family
+    # coordinates, one tuple per orbit of the tuple route's family.  With
+    # TUPLE_BLOCK patched to 0 it takes the orbit route at every d
     seen = []
     query = decide.membership
 
@@ -540,6 +543,7 @@ def test_general_orbit_route_asks_one_tuple_per_orbit(monkeypatch):
         return query(alg, gens, target, blocks=blocks, **kwargs)
 
     monkeypatch.setattr(decide, "membership", capture)
+    monkeypatch.setattr(decide, "TUPLE_BLOCK", 0)
     for alg in (fixture("nand2"), fixture("constant3"), fixture("semilattice2")):
         seen.clear()
         decide_cube_general(alg, 8)
@@ -557,40 +561,86 @@ def test_general_orbit_route_asks_one_tuple_per_orbit(monkeypatch):
             assert orbit_set(rows) == orbit_set(family)
 
 
-def test_general_path_routes_on_the_operations(monkeypatch):
-    # orbit queries where every compiled operation is unary, or on two
-    # elements with arities at most 2; tuple queries through `membership`
-    # everywhere else.  Each routed decision equals the tuple path's, which
-    # a stubbed routing rule forces here (expensive ones under a cap)
-    issued = []  # the tuple queries, those without blocks
-    tuple_query = decide.membership
+def test_general_path_routes_on_the_family_size(monkeypatch):
+    # a query asks the tuple family while its 2**d - 1 overwrites fit one
+    # generator block (TUPLE_BLOCK, so d <= 12), and S_d-orbits from d = 13
+    # on, whatever the operations.  Each routed decision equals the one
+    # with the orbit route forced by patching TUPLE_BLOCK, and so does the
+    # tuple route's (under a smaller cap where it takes seconds)
+    issued = []  # (d, orbits) per query
+    query = decide.membership
 
-    def capture(*args, **kwargs):
-        if not kwargs.get("blocks"):
-            issued.append(args[0])
-        return tuple_query(*args, **kwargs)
+    def capture(alg, gens, target, *, blocks=(), **kwargs):
+        issued.append((len(target) - alg.size, bool(len(blocks))))
+        return query(alg, gens, target, blocks=blocks, **kwargs)
+
+    def forced(alg, cap, orbits):
+        issued.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(decide, "TUPLE_BLOCK", 0 if orbits else 1 << 62)
+            dec = decide_cube_general(alg, cap)
+        assert {route for _, route in issued} == {orbits}, (alg, cap)
+        return dec
 
     monkeypatch.setattr(decide, "membership", capture)
-    assert decide_cube_general(idempotent_quasigroup(3)).verdict == HAS_CUBE and issued
     neg2 = FiniteAlgebra(2, (OperationTable("neg", 1, (1, 0)),))
     join2 = FiniteAlgebra(2, (OperationTable("join", 2, (0, 1, 1, 1)),))
     proj2 = FiniteAlgebra(2, (OperationTable("p1", 2, (0, 0, 1, 1)),
                               OperationTable("p2", 2, (0, 1, 0, 1))))
-    cases = [(fixture("nand2"), None), (const0(), None), (neg2, None),
-             (fixture("constant3"), 8), (fixture("lattice2"), None), (proj2, None),
-             (fixture("semilattice2"), 8), (join2, 8)]
-    for alg, cap in cases:
+    cases = [(idempotent_quasigroup(3), None, None), (fixture("nand2"), None, None),
+             (const0(), None, None), (neg2, None, None), (fixture("constant3"), 12, 12),
+             (fixture("constant3"), 16, 16), (binary_constant3(), 16, 12),
+             (fixture("lattice2"), None, None), (proj2, None, None),
+             (fixture("semilattice2"), None, 8), (join2, None, 8)]
+    for alg, cap, tuple_cap in cases:
         issued.clear()
-        orbits = decide_cube_general(alg, cap)
-        assert not issued, alg
-        with monkeypatch.context() as patch:
-            patch.setattr(decide, "_orbits_pay", lambda algebra: False)
-            assert decide_cube_general(alg, cap) == orbits and issued
-    # the full-bound verdicts, which the tuple path takes seconds for
+        routed = decide_cube_general(alg, cap)
+        assert issued and all(orbits == (d >= 13) for d, orbits in issued), (alg, cap)
+        assert forced(alg, cap, True) == routed
+        expected = routed if tuple_cap == cap else forced(alg, tuple_cap, True)
+        assert forced(alg, tuple_cap, False) == expected
+    # capped at 16, constant3 asks tuples up to d = 8, then orbits at 16
+    issued.clear()
+    decide_cube_general(fixture("constant3"), 16)
+    assert (8, False) in issued and (16, True) in issued
+    # the full-bound verdicts, which the tuple route takes seconds for
     assert decide_cube_general(fixture("semilattice2")) == CubeDecision(
         NO_CUBE, dimension_bound=16, failing_pair=(1, 0))
     assert decide_cube_general(join2) == CubeDecision(
         NO_CUBE, dimension_bound=16, failing_pair=(0, 1))
+
+
+def test_binary_constant3_reaches_dimension_32():
+    # a binary operation on three elements: the d = 32 query is an orbit
+    # query, which the tuple family of 2**32 - 1 rows could never finish
+    assert decide_cube_general(binary_constant3(), 32) == CubeDecision(
+        UNDECIDED, dimension_bound=32, failing_pair=(0, 1),
+        note="no cube term of dimension <= 32; full bound 54 not reached")
+
+
+def test_routed_general_decision_equals_forced_routes(monkeypatch):
+    # random algebras on two and three elements, capped at 12 (all tuple
+    # queries) and 13 (an orbit query at d = 13): the routed decision
+    # equals the decisions with the tuple route and the orbit route forced
+    # at every d.  Draws with a query cut off by the per-query time cap are
+    # skipped
+    rng = random.Random(5)
+    budget = Budget(max_seconds=0.1)
+    compared = Counter()
+    for _ in range(16):
+        alg = random_algebra(rng, rng.choice([2, 3]),
+                             [rng.choice([1, 2]) for _ in range(rng.choice([1, 2]))])
+        for cap in (12, 13):
+            decisions = [decide_cube_general(alg, cap, budget=budget)]
+            for block in (1 << 62, 0):
+                with monkeypatch.context() as patch:
+                    patch.setattr(decide, "TUPLE_BLOCK", block)
+                    decisions.append(decide_cube_general(alg, cap, budget=budget))
+            if any((dec.note or "").startswith("closure budget exhausted") for dec in decisions):
+                continue
+            assert decisions[0] == decisions[1] == decisions[2], (alg, cap, decisions)
+            compared[decisions[0].dimension_bound] += 1
+    assert compared[13] and sum(compared.values()) >= 16, compared
 
 
 def test_general_path_agrees_with_stacked_check():

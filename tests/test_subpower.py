@@ -33,6 +33,7 @@ from cubeterm import (
     check_edge_dim,
     check_nu,
     code_tuple,
+    decide,
     decide_cube_general,
     default_budget,
     fixture,
@@ -157,16 +158,29 @@ def test_out_of_memory_truncates(monkeypatch):
 
 
 def test_out_of_memory_leaves_general_decision_undecided(monkeypatch):
+    def undecided_at(d, *args, **kwargs):
+        dec = decide_cube_general(*args, **kwargs)
+        assert dec.verdict == UNDECIDED and dec.dimension_bound == d, dec
+        assert dec.note == f"closure budget exhausted at dimension {d}"
+
     monkeypatch.setattr(subpower, "np", StarvedNumpy(1 << 16))
-    dec = decide_cube_general(binary_constant3())
-    assert dec.verdict == UNDECIDED and dec.dimension_bound == 8  # bitset 3**11
-    monkeypatch.setattr(subpower, "np", StarvedNumpy(1 << 18))
-    dec = decide_cube_general(binary_constant3())
-    assert dec.verdict == UNDECIDED and dec.dimension_bound == 16  # store growth
-    # the orbit queries keep the same truncation: constant3's first store
-    monkeypatch.setattr(subpower, "np", StarvedNumpy(1 << 10))
-    dec = decide_cube_general(fixture("constant3"))
-    assert dec.verdict == UNDECIDED and dec.dimension_bound == 1
+    undecided_at(8, binary_constant3())  # the tuple query's bitset, 3**11 codes
+    # without a bitset: the store's growth to the 4095 tuples of d = 12
+    monkeypatch.setattr(subpower, "np", StarvedNumpy(1 << 15))
+    undecided_at(12, binary_constant3(), 12, budget=Budget(dense_limit=1))
+    # the orbit queries keep the same truncation: constant3's first orbit
+    # store at d = 16, the tuple queries below it left room
+    monkeypatch.setattr(subpower, "np", np)
+    query = decide.membership
+
+    def starved_orbits(*args, blocks=(), **kwargs):
+        with monkeypatch.context() as patch:
+            if len(blocks):
+                patch.setattr(subpower, "np", StarvedNumpy(1 << 10))
+            return query(*args, blocks=blocks, **kwargs)
+
+    monkeypatch.setattr(decide, "membership", starved_orbits)
+    undecided_at(16, fixture("constant3"))
 
 
 def test_dense_bitset_is_built_on_demand(monkeypatch):
