@@ -6,21 +6,19 @@ value of f(a1, ..., am) sits at position a1*n**(m-1) + a2*n**(m-2) + ... + am.
 Subsets of the universe are passed around as integer bitmasks (bit i set
 means element i is in the set).
 
-Every evaluation of operations over many arguments goes through one kernel:
-`_evaluate` applies a compiled operation to broadcastable argument arrays,
-and `_product` feeds it the cartesian products of argument stores in
-chunks.  `is_subuniverse`, the compatibility scan and the subpower closure
-engine use it.  `_ragged_index` numbers every row's own combinations in
-one sequence, and `_ragged_product` evaluates op over it.  That feeds
-`close_codes`, which closes many sets of codes of A**d at once (per block
-of patterns in the pointwise cube checks, at d = 1 in `sg_many` and `sg`),
-and `blockers.verify_blockers`; the orbit expander (`orbits._Orbits`)
-numbers its argument orbits and result sets with `_ragged_index` too.
+Every evaluation of operations over many arguments goes through one kernel,
+`_evaluate`, and every closure grows in semi-naive rounds by one rule,
+`_frontier`.  Two gathers feed the kernel: `_product` the dense cartesian
+products of argument stores (the tuple closure of `subpower`, the
+compatibility scan), and `_ragged` each row's own product over ragged
+stores (`_RowSets`).  Over the latter `_ragged_product` serves
+`close_codes`, which closes many sets of codes of A**d at once, and
+`_escapes`, the check of `is_subuniverse` and `verify_blockers`; the orbit
+expander `orbits._Orbits` gathers argument orbits and result sets with it.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 import time
 from dataclasses import dataclass
@@ -308,14 +306,21 @@ def _product(op: _Op, stores, mask: Optional[int] = None,
             yield _evaluate(op, args, mask).reshape((-1,) + tail)
 
 
-def _frontier(arity: int, old, new, every) -> Iterator[list]:
-    """Argument stores covering each tuple with an entry from `new` once.
-
-    Block j holds the tuples whose first entry from `new` is at position j:
-    entries before it come from `old`, later ones from `every` = old + new.
-    """
-    for j in range(arity):
-        yield [old] * j + [new] + [every] * (arity - 1 - j)
+def _frontier(op: _Op, new, old=None, every=None) -> Iterator[list]:
+    """The argument stores of one semi-naive round of op, meeting each
+    argument tuple over `every` = old + new that touches `new` once: in the
+    first round (no `old`) [new] * arity; for a symmetric binary op
+    [new, old], then [new, new], one store twice for the unordered pairs in
+    `new`; else block j for a first entry from `new` at position j, entries
+    before it from `old` and later ones from `every`."""
+    if old is None:
+        yield [new] * op.arity
+    elif op.symmetric:
+        yield [new, old]
+        yield [new, new]
+    else:
+        for j in range(op.arity):
+            yield [old] * j + [new] + [every] * (op.arity - 1 - j)
 
 
 # ---------------------------------------------------------------------------
@@ -397,27 +402,30 @@ def _code_values(op: _Op, args, digits: np.ndarray) -> np.ndarray:
 
 
 class _RowSets:
-    """A bool matrix as the entry lists of its rows: `elems` holds them one
-    row after another, row r from `starts[r]` on, `counts[r]` entries."""
+    """Ragged rows over one array: row r is the `counts[r]` entries of
+    `elems` (elements, codes, or rows of a 2-D `elems`) from `starts[r]` on."""
 
-    def __init__(self, matrix: np.ndarray):
-        self.counts = matrix.sum(axis=1)
-        self.elems = np.nonzero(matrix)[1]
-        self.starts = np.cumsum(self.counts) - self.counts
+    def __init__(self, elems: np.ndarray, starts: np.ndarray, counts: np.ndarray):
+        self.elems, self.starts, self.counts = elems, starts, counts
+
+    @classmethod
+    def of(cls, matrix: np.ndarray) -> "_RowSets":
+        """The rows of a bool matrix as their sorted column lists."""
+        counts = matrix.sum(axis=1)
+        return cls(np.nonzero(matrix)[1], np.cumsum(counts) - counts, counts)
 
     def only(self, keep: np.ndarray) -> "_RowSets":
         """The same rows, those outside the bool array `keep` emptied."""
-        out = copy.copy(self)
-        out.counts = np.where(keep, self.counts, 0)
-        return out
+        return _RowSets(self.elems, self.starts, np.where(keep, self.counts, 0))
 
 
-def _ragged_index(counts, step: Optional[int] = None):
-    """Yield (rows, picks): every row's own combinations, row r picking
-    factor j's entry below counts[j][r], numbered in one sequence (rows in
-    order, each row's combinations in lexicographic order) and taken
-    `step` at a time, all at once without one.  picks[j] is the entry of
-    factor j for each combination, rows its row."""
+def _ragged(stores, step: Optional[int] = None):
+    """Yield (rows, args): every row's own combinations of one entry per
+    store, row r taking argument j from row r of the `_RowSets` stores[j],
+    numbered in one sequence (rows in order, each row's combinations in
+    lexicographic order) and taken `step` at a time, all at once without
+    one.  args[j] holds argument j of each combination, rows its row."""
+    counts = [s.counts for s in stores]
     totals = math.prod(counts)
     ends = np.cumsum(totals)
     total = int(ends[-1])
@@ -426,30 +434,27 @@ def _ragged_index(counts, step: Optional[int] = None):
     for lo in range(0, total, step):
         flat = np.arange(lo, min(lo + step, total))
         rows = np.searchsorted(ends, flat, side="right")
-        left = flat - begins[rows]
-        picks = [left] * len(counts)
-        for j in range(len(counts) - 1, 0, -1):
+        picks = [flat - begins[rows]] * len(stores)
+        for j in range(len(stores) - 1, 0, -1):
             picks[0], picks[j] = np.divmod(picks[0], counts[j][rows])
-        yield rows, picks
+        yield rows, [s.elems[s.starts[rows] + p] for s, p in zip(stores, picks)]
 
 
 def _ragged_product(op: _Op, stores, cells: int = KERNEL_CELLS,
                     digits: Optional[np.ndarray] = None):
     """Yield (rows, values): op over each row's own cartesian product, row r
     taking argument j from row r of stores[j], a bool matrix or its
-    `_RowSets`, in `_ragged_index` order, `cells` combinations at a time.
-    A symmetric binary op over one store twice gets each unordered pair
-    once.
+    `_RowSets`, in `_ragged` order, `cells` combinations at a time.  A
+    symmetric binary op over one store twice gets each unordered pair once.
 
     With `digits` (the `_code_digits` table) the entries are codes of A**d
     and op acts on them coordinatewise; a chunk then takes cells // 32
     combinations, as each carries a dozen int64 temporaries.
     """
     pairs = op.symmetric and stores[0] is stores[1]
-    stores = [s if isinstance(s, _RowSets) else _RowSets(s) for s in stores]
+    stores = [s if isinstance(s, _RowSets) else _RowSets.of(s) for s in stores]
     step = cells if digits is None else max(1, cells // 32)
-    for rows, picks in _ragged_index([s.counts for s in stores], step):
-        args = [s.elems[s.starts[rows] + p] for s, p in zip(stores, picks)]
+    for rows, args in _ragged(stores, step):
         if pairs:  # entries are sorted within a row
             keep = args[1] <= args[0]
             rows, args = rows[keep], [a[keep] for a in args]
@@ -465,36 +470,20 @@ def _escapes(op: _Op, stores, inside: np.ndarray) -> np.ndarray:
     return out
 
 
-def _code_blocks(ops, new, old=None, every=None):
-    """(op, stores) for one round: `_frontier`'s blocks, for a symmetric
-    binary op new x old and the pairs inside new.  The first round has
-    no `old`, and every = new."""
-    for op in ops:
-        if old is None:
-            yield op, [new] * op.arity
-        elif op.symmetric:
-            yield op, [new, old]
-            yield op, [new, new]
-        else:
-            for stores in _frontier(op.arity, old, new, every):
-                yield op, stores
-
-
 def close_codes(algebra: FiniteAlgebra, d: int, gens: np.ndarray, targets=None, *,
                 max_members: Optional[int] = None, max_seconds: Optional[float] = None):
     """Close many sets of codes of A**d at once, each under every operation.
 
     gens is a (rows x n**d) bool matrix, row r the generators of closure r;
     targets, when given, holds one code per row.  Each row grows in rounds
-    by semi-naive evaluation: every operation is applied only to argument
-    tuples that touch a code the row gained in the previous round, a
-    symmetric binary one to unordered pairs only.  A row leaves the
-    frontier once it holds its target or the whole space.  A row still
-    without its target is truncated when it holds more than max_members
-    codes after a round, or when the run passes max_seconds; a
-    `MemoryError` in a round ends the run, keeping the codes the round
-    made before it, and truncates every row still live in it that has
-    not reached its target.
+    by semi-naive evaluation: every operation is applied to the `_frontier`
+    blocks of the codes the row gained in the previous round, a symmetric
+    binary one to unordered pairs only.  A row leaves the frontier once it
+    holds its target or the whole space.  A row still without its target
+    is truncated when it holds more than max_members codes after a round,
+    or when the run passes max_seconds; a `MemoryError` in a round ends
+    the run, keeping the codes the round made before it, and truncates
+    every row still live in it that has not reached its target.
     Operations act on codes through the digit table, so d = 1 is the Sg
     closure.
 
@@ -522,11 +511,12 @@ def close_codes(algebra: FiniteAlgebra, d: int, gens: np.ndarray, targets=None, 
         hit = None
         try:
             picked = slice(None) if live.size == len(every) else live
-            parts = [_RowSets(p[picked]) for p in ((new,) if old is None else (new, old, every))]
+            parts = (new,) if old is None else (new, old, every)
+            parts = [_RowSets.of(p[picked]) for p in parts]
             hit = np.zeros_like(every)
             for rows, values in chain.from_iterable(
                     _ragged_product(op, stores, digits=digits)
-                    for op, stores in _code_blocks(algebra.compiled.ops, *parts)):
+                    for op in algebra.compiled.ops for stores in _frontier(op, *parts)):
                 hit[live[rows], values] = True
                 if targets is not None and hit[live, targets[live]].all():
                     break
@@ -543,8 +533,12 @@ def close_codes(algebra: FiniteAlgebra, d: int, gens: np.ndarray, targets=None, 
             return every, found, truncated & ~found
 
 
-def mask_matrix(masks, n: int) -> np.ndarray:
-    """The (masks x n) bool membership matrix of bitmasks below 2**n."""
+def mask_matrix(sets, n: int) -> np.ndarray:
+    """The (sets x n) bool membership matrix of element sets, bitmasks or
+    collections; ValueError for elements outside 0..n-1."""
+    masks = [_as_mask(s) for s in sets]
+    if any(m < 0 or m >> n for m in masks):
+        raise ValueError("set contains elements outside the universe")
     width = (n + 7) // 8
     octets = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
     return np.unpackbits(octets.reshape(len(masks), width), axis=1, count=n,
@@ -556,11 +550,7 @@ def sg_many(algebra: FiniteAlgebra, seeds) -> list[int]:
     `close_codes` at d = 1 on the (seeds x n) membership matrix.  Sg({})
     is empty.  A closure cut off by a `MemoryError` raises it again, as
     a partial subuniverse would be a wrong answer."""
-    n = algebra.size
-    masks = [_as_mask(s) for s in seeds]
-    if any(m < 0 or m >> n for m in masks):
-        raise ValueError("seed contains elements outside the universe")
-    members, _, truncated = close_codes(algebra, 1, mask_matrix(masks, n))
+    members, _, truncated = close_codes(algebra, 1, mask_matrix(seeds, algebra.size))
     if truncated.any():
         raise MemoryError("Sg closure: out of memory")
     packed = np.packbits(members, axis=1, bitorder="little")
@@ -572,14 +562,20 @@ def sg(algebra: FiniteAlgebra, seed) -> int:
     return sg_many(algebra, [seed])[0]
 
 
+def _subuniverses(algebra: FiniteAlgebra, sets) -> np.ndarray:
+    """Which of the element sets are closed under every basic operation, as
+    a bool array: those over whose own product no operation `_escapes`."""
+    inside = mask_matrix(sets, algebra.size)
+    own = _RowSets.of(inside)
+    closed = np.ones(len(inside), dtype=bool)
+    for op in algebra.compiled.ops:
+        closed &= ~_escapes(op, [own.only(closed)] * op.arity, inside)
+    return closed
+
+
 def is_subuniverse(algebra: FiniteAlgebra, candidate) -> bool:
     """True iff the set is closed under every basic operation."""
-    elems = np.array(mask_elements(_as_mask(candidate)), dtype=np.intp)
-    inside = np.zeros(algebra.size, dtype=bool)
-    inside[elems] = True
-    return all(inside[values].all()
-               for op in algebra.compiled.ops
-               for values in _product(op, [elems] * op.arity))
+    return bool(_subuniverses(algebra, [candidate])[0])
 
 
 #: Most subsets `enumerate_subuniverses` scans.
@@ -589,16 +585,14 @@ MAX_SUBSETS = 1 << 20
 def enumerate_subuniverses(algebra: FiniteAlgebra) -> list[int]:
     """All nonempty subuniverses, as bitmasks in increasing numeric order.
 
-    Scans all 2**n subsets, so it refuses universes where that exceeds
-    MAX_SUBSETS.
+    Scans all 2**n subsets, `KERNEL_CELLS // n` at a time, so it refuses
+    universes where that exceeds MAX_SUBSETS.
     """
     n = algebra.size
     if (1 << n) > MAX_SUBSETS:
         raise BudgetExceededError(
             f"subset scan over 2^{n} subsets exceeds the budget of {MAX_SUBSETS}"
         )
-    out = []
-    for mask in range(1, 1 << n):
-        if is_subuniverse(algebra, mask):
-            out.append(mask)
-    return out
+    step = max(1, KERNEL_CELLS // n)
+    batches = (range(lo, min(lo + step, 1 << n)) for lo in range(1, 1 << n, step))
+    return [m for b in batches for m, closed in zip(b, _subuniverses(algebra, b)) if closed]

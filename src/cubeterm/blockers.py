@@ -69,7 +69,7 @@ def verify_blockers(algebra: FiniteAlgebra, pairs) -> np.ndarray:
     ok = np.array([0 != c != d and not (c & ~d or d >> n) for c, d in masks], dtype=bool)
     picked = np.flatnonzero(ok)
     c_in, d_in = (mask_matrix([masks[r][i] for r in picked], n) for i in (0, 1))
-    c_sets, d_sets = _RowSets(c_in), _RowSets(d_in)
+    c_sets, d_sets = _RowSets.of(c_in), _RowSets.of(d_in)
     good, proper = np.ones(len(picked), dtype=bool), ~d_in.all(axis=1)
     for op in algebra.compiled.ops:
         if (good & proper).any():

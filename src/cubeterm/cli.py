@@ -294,7 +294,9 @@ def run(argv: Optional[list[str]] = None) -> int:
         _emit(command, digest, und.payload, started, pretty, "undecided/truncated")
         return EXIT_UNDECIDED
     except (InputError, ValueError, KeyError) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        # str() of a KeyError is the repr of its key: print the message itself
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(json.dumps({"error": str(message)}), file=sys.stderr)
         return EXIT_INPUT
     except (BudgetExceededError, MemoryError) as exc:
         _emit(command, digest, {"truncated": True, "reason": str(exc)},

@@ -31,9 +31,9 @@ table with the block's argument count vectors as its margins occurs
 margins), and the blocks vary independently, so the results are the
 prefix with the product of the per-block sets.  The orbit expander
 `_Orbits` makes these candidates for the closure core of `subpower`, which
-keys, stores and budgets them as it does tuples; argument orbits and
-result sets are numbered by `algebra._ragged_index`, as the kernel's own
-ragged products are.
+keys, stores and budgets them as it does tuples; its rounds follow the
+closures' one round rule, `algebra._frontier`, and it gathers argument
+orbits and result sets with the kernel's ragged gather, `algebra._ragged`.
 
 `membership` imports this module on its first orbit query: the orbit
 routes alone need it, and its compile time would otherwise land on every
@@ -47,8 +47,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .algebra import (KERNEL_CELLS, FiniteAlgebra, _evaluate, _frontier, _Op, _ragged_index,
-                      element_dtype)
+from .algebra import (KERNEL_CELLS, FiniteAlgebra, _evaluate, _frontier, _Op, _ragged,
+                      _RowSets, element_dtype)
 from .relations import _digit_rows, _first_unique, _keys
 
 
@@ -159,14 +159,16 @@ class _Orbits:
                               dtype=self.dtype, casting="unsafe")
 
     def candidates(self, store: np.ndarray, f_lo: int, f_hi: int) -> Iterator[np.ndarray]:
-        """One round's candidate orbits: the frontier blocks of (lo, hi)
-        index ranges as the rows of `_ragged_index`, about `KERNEL_CELLS`
-        cells of argument rows at a time."""
+        """One round's candidate orbits, about `KERNEL_CELLS` cells of
+        argument rows at a time: each `_frontier` block, over (start, count)
+        ranges of the store, is one ragged row; [new, new] is taken whole."""
         step = max(1, KERNEL_CELLS // store.shape[1])
+        ranges = [(f_lo, f_hi - f_lo)] + ([(0, f_lo), (0, f_hi)] if f_lo else [])
         for i, op in enumerate(self.ops):
-            lo, hi = np.array(list(_frontier(op.arity, (0, f_lo), (f_lo, f_hi), (0, f_hi)))).T
-            for rows, picks in _ragged_index(list(hi - lo), step):
-                yield self._apply(i, op, [store[lo[j, rows] + p] for j, p in enumerate(picks)])
+            starts, counts = np.array(list(_frontier(op, *ranges))).transpose(2, 1, 0)
+            stores = [_RowSets(store, s, c) for s, c in zip(starts, counts)]
+            for _, args in _ragged(stores, step):
+                yield self._apply(i, op, args)
 
     def _apply(self, i: int, op: _Op, args: list) -> np.ndarray:
         P, n, k = self.P, self.n, len(args[0])
@@ -188,13 +190,11 @@ class _Orbits:
             for key, lo, hi in zip(missing, bounds[:-1], bounds[1:]):
                 self.tables[key] = counts[lo:hi]
         results = [self.tables[key] for key in keys]
-        every = np.concatenate(results)
         lens = np.array([len(r) for r in results], dtype=np.int64)
-        starts = np.cumsum(lens) - lens
+        every, starts = np.concatenate(results), np.cumsum(lens) - lens
         which = inv.reshape(k, groups).T  # which[g][r]: the result set of row r on block g
         # the candidates of row r: one count vector per block, its own product
-        rows, picks = next(_ragged_index(list(lens[which])))
-        blocks = [every[starts[w[rows]] + p] for w, p in zip(which, picks)]
+        rows, blocks = next(_ragged([_RowSets(every, starts[w], lens[w]) for w in which]))
         return np.hstack([prefix[rows]] + blocks).astype(self.dtype)
 
     def size(self, members: np.ndarray) -> int:

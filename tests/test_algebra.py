@@ -24,7 +24,8 @@ from cubeterm import (
     sg_many,
     validate,
 )
-from cubeterm.algebra import _code_digits, _ragged_product
+from cubeterm import algebra
+from cubeterm.algebra import _code_digits, _frontier, _Op, _ragged_product
 
 MEET = OperationTable("meet", 2, (0, 0, 0, 1))
 
@@ -144,6 +145,34 @@ def test_sg_many_edge_cases():
         sg_many(alg, [1, 4])
 
 
+@pytest.mark.parametrize("arity, symmetric", [(1, False), (2, False), (2, True), (3, False)])
+def test_frontier_meets_each_new_tuple_once(arity, symmetric):
+    # the round rule's blocks over index lists: every argument tuple over
+    # `every` that touches `new` exactly once; for a symmetric op each
+    # unordered pair once, with the [new, new] block cut to pairs
+    op = _Op(2, arity, None, symmetric, (), False)
+    every = list(range(6))
+    for cut in (0, 1, 4):
+        old, new = every[:cut], every[cut:]
+        blocks = list(_frontier(op, new, old, every) if cut else _frontier(op, new))
+        if not cut:
+            assert blocks == [[new] * arity]
+        elif symmetric:
+            assert blocks == [[new, old], [new, new]] and blocks[1][0] is blocks[1][1]
+        else:
+            assert len(blocks) == arity
+        got = []
+        for stores in blocks:
+            pairs = symmetric and stores[0] is stores[1]
+            got += [t for t in product(*stores) if not pairs or t[1] <= t[0]]
+        if symmetric:
+            got = [tuple(sorted(t)) for t in got]
+            want = [t for t in combinations_with_replacement(every, 2) if set(t) & set(new)]
+        else:
+            want = [t for t in product(every, repeat=arity) if set(t) & set(new)]
+        assert sorted(got) == sorted(want)
+
+
 def test_ragged_product_chunks_cover_each_row_product_once():
     # every row's own product, in any cut into chunks: rows of 0 to 6
     # candidates per argument, chunks smaller than one row's product
@@ -202,17 +231,19 @@ def test_enumerate_subuniverses_no_ops():
     assert len(enumerate_subuniverses(fixture("no_ops2"))) == 3
 
 
-def test_enumerate_subuniverses_matches_sg_scan():
+def test_enumerate_subuniverses_matches_sg_scan(monkeypatch):
+    # batched scans, also cut into batches of 2 subsets, against Sg and
+    # against is_subuniverse one set at a time
     rng = random.Random(11)
-    for _ in range(20):
-        n = rng.randint(2, 4)
-        alg = random_idempotent_algebra(rng, n, [2])
-        subs = set(enumerate_subuniverses(alg))
-        expected = {
-            m for m in range(1, 1 << n)
-            if sg(alg, m) == m
-        }
+    cells = algebra.KERNEL_CELLS
+    for i in range(30):
+        n = rng.randint(2, 5)
+        alg = random_idempotent_algebra(rng, n, rng.choice([[2], [1, 3], [2, 2], [3]]))
+        monkeypatch.setattr(algebra, "KERNEL_CELLS", 2 * n if i % 2 else cells)
+        subs = enumerate_subuniverses(alg)
+        expected = [m for m in range(1, 1 << n) if sg(alg, m) == m]
         assert subs == expected
+        assert subs == [m for m in range(1, 1 << n) if is_subuniverse(alg, m)]
 
 
 def test_enumerate_subuniverses_budget():
@@ -262,6 +293,9 @@ def test_negative_mask_rejected():
     try:
         with pytest.raises(ValueError):
             is_subuniverse(fixture("lattice2"), -1)
+        for outside in (0b100, [5]):  # elements outside the universe
+            with pytest.raises(ValueError):
+                is_subuniverse(fixture("lattice2"), outside)
         with pytest.raises(ValueError):
             mask_elements(-5)
     finally:

@@ -192,8 +192,9 @@ def test_gen_quasigroup_and_tight(capsys):
     assert [op["arity"] for op in result["payload"]["operations"]] == [3]
     rc, _, _ = invoke(capsys, "gen", "tight", "2", "2")
     assert rc == 2  # no tight example there
-    rc, _, _ = invoke(capsys, "gen", "fixture", "nosuch")
+    rc, _, err = invoke(capsys, "gen", "fixture", "nosuch")
     assert rc == 2
+    assert json.loads(err)["error"].startswith("unknown fixture 'nosuch'; available: ")
 
 
 def test_oracles(capsys, algebra_file):
