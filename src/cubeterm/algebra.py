@@ -347,7 +347,10 @@ def validate(algebra: FiniteAlgebra) -> list[str]:
         if op.arity < 1:
             problems.append(f"{where}: arity must be at least 1, got {op.arity}")
             continue
-        expected = n ** op.arity
+        # n**arity > len(table) for n >= 2 once arity passes its bit length:
+        # name the power then rather than build a huge integer
+        fits = n == 1 or op.arity <= len(op.table).bit_length()
+        expected = n ** op.arity if fits else f"{n}**{op.arity}"
         if len(op.table) != expected:
             problems.append(
                 f"{where}: table has {len(op.table)} entries, expected {expected}"

@@ -55,7 +55,7 @@ def _read_json(path: str) -> tuple[object, str]:
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(raw), hashlib.sha256(raw).hexdigest()
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise InputError(f"{path}: not valid JSON: {exc}") from exc
 
 
@@ -179,7 +179,10 @@ def _cmd_gen(args) -> tuple:
         alg = tight_example(TightExampleParams(args.n, tuple(arities)))
     payload = alg.to_json()
     if args.output:
-        Path(args.output).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        try:
+            Path(args.output).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {args.output}: {exc}") from exc
     return payload, f"algebra '{alg.name}' with {len(alg.operations)} operation(s)"
 
 

@@ -56,11 +56,16 @@ def constant3() -> FiniteAlgebra:
                          name="constant3")
 
 
+def _check_size(n: int) -> None:
+    """ValueError unless 1 <= n <= MAX_SIZE, the sizes the engine supports."""
+    if not 1 <= n <= MAX_SIZE:
+        raise ValueError(f"universe size must be between 1 and {MAX_SIZE}, got {n}")
+
+
 def no_ops(n: int) -> FiniteAlgebra:
     """An n-element set with no operations (clone of projections), for
     1 <= n <= MAX_SIZE."""
-    if not 1 <= n <= MAX_SIZE:
-        raise ValueError(f"universe size must be between 1 and {MAX_SIZE}, got {n}")
+    _check_size(n)
     return FiniteAlgebra(n, (), name=f"no_ops{n}")
 
 
@@ -122,6 +127,7 @@ def idempotent_quasigroup(n: int) -> FiniteAlgebra:
     """
     if n < 3:
         raise ValueError("idempotent quasigroups exist only for order >= 3")
+    _check_size(n)
     if n % 2 == 1:
         c = (n + 1) // 2
         table = tuple((c * (x + y)) % n for x in range(n) for y in range(n))
@@ -154,6 +160,7 @@ class TightExampleParams:
     arities: tuple[int, ...]
 
     def __post_init__(self):
+        _check_size(self.n)
         object.__setattr__(self, "arities",
                            tuple(sorted(self.arities, reverse=True)))
         if not self.arities:

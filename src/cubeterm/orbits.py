@@ -124,9 +124,8 @@ class _Orbits:
     Applied to m orbits, an m-ary operation gives the prefix
     op(p_1, ..., p_m) with every combination of one count vector per block,
     block g's from the m-way tables whose margins are the arguments' count
-    vectors there (`_margin_tables`).  These sets depend on the count
-    vectors alone, so each is computed once per query; a unary operation
-    gives one orbit.
+    vectors there (`_margin_tables`), computed once per step for the
+    step's distinct margin sets; a unary operation gives one orbit.
     """
 
     def __init__(self, algebra: FiniteAlgebra, prefix: int, sizes: Sequence[int]):
@@ -143,7 +142,6 @@ class _Orbits:
         self.row_shape = (width,)
         self.dtype = element_dtype(self.base)
         self.ops = algebra.compiled.ops
-        self.tables: dict = {}  # (op, margins) -> count vectors
 
     def keys(self, cands: np.ndarray) -> np.ndarray:
         return _keys(cands[:, self.key_columns], self.base)
@@ -164,13 +162,13 @@ class _Orbits:
         ranges of the store, is one ragged row; [new, new] is taken whole."""
         step = max(1, KERNEL_CELLS // store.shape[1])
         ranges = [(f_lo, f_hi - f_lo)] + ([(0, f_lo), (0, f_hi)] if f_lo else [])
-        for i, op in enumerate(self.ops):
+        for op in self.ops:
             starts, counts = np.array(list(_frontier(op, *ranges))).transpose(2, 1, 0)
             stores = [_RowSets(store, s, c) for s, c in zip(starts, counts)]
             for _, args in _ragged(stores, step):
-                yield self._apply(i, op, args)
+                yield self._apply(op, args)
 
-    def _apply(self, i: int, op: _Op, args: list) -> np.ndarray:
+    def _apply(self, op: _Op, args: list) -> np.ndarray:
         P, n, k = self.P, self.n, len(args[0])
         groups = len(self.sizes)
         prefix = _evaluate(op, [a[:, :P] for a in args])
@@ -181,17 +179,10 @@ class _Orbits:
         # row r * G + g: the m argument count vectors of row r on block g
         margins = np.hstack([a[:, P:].reshape(k * groups, n) for a in args])
         _, first, inv = _first_unique(_keys(margins, self.base), return_inverse=True)
-        keys = [(i, tuple(row)) for row in margins[first].tolist()]
-        missing = [key for key in keys if key not in self.tables]
-        if missing:
-            sets, counts = _margin_tables(op, np.array([m for _, m in missing]).reshape(
-                len(missing), op.arity, n))
-            bounds = np.searchsorted(sets, np.arange(len(missing) + 1))
-            for key, lo, hi in zip(missing, bounds[:-1], bounds[1:]):
-                self.tables[key] = counts[lo:hi]
-        results = [self.tables[key] for key in keys]
-        lens = np.array([len(r) for r in results], dtype=np.int64)
-        every, starts = np.concatenate(results), np.cumsum(lens) - lens
+        sets, every = _margin_tables(op, margins[first].astype(np.int64).reshape(
+            len(first), op.arity, n))
+        lens = np.bincount(sets)
+        starts = np.cumsum(lens) - lens
         which = inv.reshape(k, groups).T  # which[g][r]: the result set of row r on block g
         # the candidates of row r: one count vector per block, its own product
         rows, blocks = next(_ragged([_RowSets(every, starts[w], lens[w]) for w in which]))

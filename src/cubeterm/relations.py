@@ -14,10 +14,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from numbers import Integral
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -196,26 +195,12 @@ def mix(a: Sequence[int], b: Sequence[int], coords: Iterable[int]) -> tuple[int,
 
 
 #: Most tuples in one generator block: `mix_family` yields its masks in
-#: blocks of TUPLE_BLOCK = 2**_LOW_BITS, whose low bits come from one cached
-#: bit table while the high bits are constant, and `subpower` cuts runs of
-#: single tuples into blocks of at most TUPLE_BLOCK, the budget checked
-#: after each.
+#: blocks of TUPLE_BLOCK = 2**_LOW_BITS, each one overwrite table of the
+#: low bits, built once per call, plus a row holding the constant high
+#: bits, and `subpower` cuts runs of single tuples into blocks of at most
+#: TUPLE_BLOCK, the budget checked after each.
 TUPLE_BLOCK = 1 << 12
 _LOW_BITS = TUPLE_BLOCK.bit_length() - 1
-
-
-@lru_cache(maxsize=64)
-def _block_bits(width: int, low: tuple, first: bool, a_at: Optional[int]) -> np.ndarray:
-    """Read-only 0/1 overwrite bits of one block of masks, one row per mask:
-    bit t of the mask's low part in column low[t].  The first block skips
-    mask 0; a_at, when given, is the row where a itself (no bits) goes."""
-    bits = np.zeros((1 << len(low), width), dtype=np.uint8)
-    bits[:, list(low)] = np.arange(len(bits))[:, None] >> np.arange(len(low)) & 1
-    bits = bits[first:]
-    if a_at is not None:
-        bits = np.insert(bits, a_at, 0, axis=0)
-    bits.flags.writeable = False
-    return bits
 
 
 def mix_family(a: Sequence[int], b: Sequence[int],
@@ -245,17 +230,19 @@ def mix_family(a: Sequence[int], b: Sequence[int],
     # a itself first appears at the mask of the lowest coordinate where
     # a == b, right before the mask 2**t (t = differing coordinates below)
     a_pos = None if same is None else 1 << bisect_left(diff, same)
-    a_at = a_pos - 1 if a_pos is not None and a_pos <= 1 << _LOW_BITS else None
-    low, high = tuple(diff[:_LOW_BITS]), diff[_LOW_BITS:]
-    # where(bit, b, a) as a + bit * (b - a), exact in wrapping integers
-    delta = other - base
+    low, high = diff[:_LOW_BITS], diff[_LOW_BITS:]
+    # where(bit, b, a) as a + bit * (b - a), exact in wrapping integers:
+    # row t of the table holds the bits of t in the low columns, times b - a
+    table = np.zeros((1 << len(low), len(base)), dtype=dtype)
+    table[:, low] = np.arange(len(table))[:, None] >> np.arange(len(low)) & 1
+    table *= other - base
     for h in range(1 << len(high)):
-        row = base
-        if h:  # mask h << 12 also overwrites some high coordinates
-            row = base.copy()
-            row[high] = np.where(h >> np.arange(len(high)) & 1, other[high], base[high])
-        block = _block_bits(len(base), low, h == 0, None if h else a_at) * delta
-        block += row
+        # the high coordinates that the masks h << 12 .. (h << 12) + 4095 overwrite
+        row = base.copy()
+        row[high] = np.where(h >> np.arange(len(high)) & 1, other[high], base[high])
+        block = table[h == 0:] + row  # the first block skips mask 0
+        if not h and a_pos is not None and a_pos <= len(table):
+            block = np.insert(block, a_pos - 1, base, axis=0)
         yield block
         if h and a_pos == (h + 1) << _LOW_BITS:
             yield base[None].copy()

@@ -168,6 +168,35 @@ def test_validate_command(capsys, algebra_file, tmp_path):
     assert result["payload"]["violations"]
 
 
+def test_huge_declared_arity_is_a_violation(capsys, tmp_path):
+    # n**arity would be an integer of 10**11 bits: the mismatch is reported
+    # without it, by validate and by a decision alike
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"size": 2, "operations": [{"arity": 99999999999, "table": [0]}]}')
+    rc, result, _ = invoke(capsys, "validate", str(huge))
+    assert rc == 0 and result["payload"] == {"valid": False, "violations": [
+        "operations[0] 'f0': table has 1 entries, expected 2**99999999999"]}
+    rc, result, err = invoke(capsys, "decide-cube", str(huge))
+    assert rc == 2 and result is None
+    assert "expected 2**99999999999" in json.loads(err)["error"]
+
+
+def test_deeply_nested_json_is_input_error(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000 + "]" * 200000)
+    for command in ("validate", "decide-cube"):
+        rc, result, err = invoke(capsys, command, str(deep))
+        assert rc == 2 and result is None
+        assert "not valid JSON" in json.loads(err)["error"]
+
+
+def test_unwritable_gen_output_is_input_error(capsys, tmp_path):
+    for out in (tmp_path / "missing" / "x.json", tmp_path):
+        rc, result, err = invoke(capsys, "gen", "fixture", "lattice2", "-o", str(out))
+        assert rc == 2 and result is None
+        assert json.loads(err)["error"].startswith(f"cannot write {out}: ")
+
+
 def test_gen_fixture_writes_loadable_file(capsys, tmp_path):
     out = tmp_path / "alg.json"
     rc, result, _ = invoke(capsys, "gen", "fixture", "lattice2", "-o", str(out))
@@ -182,6 +211,11 @@ def test_gen_fixture_beyond_max_size_is_input_error(capsys):
     rc, result, err = invoke(capsys, "gen", "fixture", "no_ops70000")
     assert rc == 2 and result is None
     assert "universe size" in json.loads(err)["error"]
+    # the generators that build tables refuse such sizes just as fast
+    for argv in (("quasigroup", "70001"), ("tight", "70001", "2,2")):
+        rc, result, err = invoke(capsys, "gen", *argv)
+        assert rc == 2 and result is None
+        assert "universe size" in json.loads(err)["error"]
 
 
 def test_gen_quasigroup_and_tight(capsys):

@@ -45,6 +45,15 @@ def test_no_ops_size_range():
             no_ops(n)
 
 
+def test_generators_refuse_sizes_beyond_max_size():
+    # the same refusal as no_ops, before any table is built
+    for build in (idempotent_quasigroup, lambda n: TightExampleParams(n, (2, 2))):
+        for n in (MAX_SIZE + 1, 70001):
+            with pytest.raises(ValueError, match="universe size"):
+                build(n)
+    assert TightExampleParams(MAX_SIZE, (2, 2)).N == 3
+
+
 def test_unknown_fixture():
     with pytest.raises(KeyError):
         fixture("heap7")

@@ -98,14 +98,21 @@ def test_mix_family_matches_naive_enumeration():
 
 def test_mix_family_wide_blocks():
     # more than 12 differing coordinates: several blocks, and a itself may
-    # land inside the first block, on a block boundary or at the very end
-    for k, same in [(13, ()), (14, (13,)), (15, (14,)), (16, (12,)), (16, (13, 2)),
-                    (14, (5,)), (13, (12,)), (15, (0,))]:
+    # land inside the first block, on a block boundary or at the very end;
+    # block h holds the masks h * 4096 .. h * 4096 + 4095 (the first one
+    # without mask 0), and a lone a follows the block its mask ends
+    full, first = 4096, 4095
+    for k, same, lengths in [(13, (), [first, full]),
+                             (14, (13,), [first, full, 1]),
+                             (15, (14,), [first, full, full, full, 1]),
+                             (16, (12,), [full] * 8),
+                             (16, (13, 2), [full] * 4),
+                             (14, (5,), [full] * 2),
+                             (13, (12,), [full]),
+                             (15, (0,), [full] * 4)]:
         a = (0,) * k
         b = tuple(0 if i in same else 1 for i in range(k))
-        blocks = list(mix_family(a, b, prefix=(2,)))
-        assert len(blocks) > 1 or k - len(same) <= 12
-        assert max(len(block) for block in blocks) <= 4096
+        assert [len(block) for block in mix_family(a, b, prefix=(2,))] == lengths
         assert family_rows(a, b, (2,)) == naive_family(a, b, (2,))
 
 

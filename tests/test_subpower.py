@@ -46,6 +46,7 @@ from cubeterm import (
     tuple_code,
 )
 from cubeterm.algebra import close_codes
+from cubeterm import orbits
 from cubeterm.orbits import _margin_tables
 
 
@@ -610,6 +611,47 @@ def test_orbit_query_matches_tuple_query(case):
         assert (orbits.found, orbits.witness_depth) == (tuples.found, tuples.witness_depth)
         if not tuples.found:
             assert orbits.closure_size == tuples.closure_size
+
+
+def test_orbit_query_in_small_steps_matches_tuple_query(monkeypatch):
+    # orbits.KERNEL_CELLS patched small cuts each round into many `_apply`
+    # steps, each computing the margin tables of its own margin sets; the
+    # pair queries of unary operations, of binary ones on two elements (the
+    # closed form) and of a binary one on three elements and a ternary one
+    # on two (the dynamic program) give the tuple query's found flag and
+    # depth either way, and its closure size on saturated runs
+    cases = [(fixture("constant3"), 4),
+             (FiniteAlgebra(3, (OperationTable("cycle", 1, (1, 2, 0)),
+                                OperationTable("c0", 1, (0, 0, 0)))), 4),
+             (fixture("nand2"), 6),
+             (FiniteAlgebra(2, (OperationTable("andnot", 2, (0, 0, 1, 0)),)), 6),
+             (FiniteAlgebra(3, (OperationTable("h", 2, (0, 0, 1, 2, 1, 1, 2, 2, 2)),)), 4),
+             (FiniteAlgebra(2, (OperationTable("g", 3, (0, 1, 0, 1, 0, 1, 1, 1)),)), 6)]
+    steps = {}  # KERNEL_CELLS -> the margin sets of each `_margin_tables` call
+    margin_tables = orbits._margin_tables
+
+    def counted(op, margins):
+        steps.setdefault(orbits.KERNEL_CELLS, []).append(margins.shape)
+        return margin_tables(op, margins)
+
+    monkeypatch.setattr(orbits, "_margin_tables", counted)
+    found = set()
+    for alg, d in cases:
+        prefix = tuple(range(alg.size))
+        for a, b in itertools.permutations(range(alg.size), 2):
+            gens, target = list(mix_family((a,) * d, (b,) * d, prefix=prefix)), prefix + (a,) * d
+            tuples = membership(alg, gens, target)
+            found.add(tuples.found)
+            for cells in (algebra.KERNEL_CELLS, 16):
+                monkeypatch.setattr(orbits, "KERNEL_CELLS", cells)
+                ans = membership(alg, gens, target, blocks=(d,))
+                assert (ans.found, ans.witness_depth, ans.truncated) == \
+                    (tuples.found, tuples.witness_depth, False)
+                if not tuples.found:
+                    assert ans.closure_size == tuples.closure_size
+    assert found == {True, False}
+    assert len(steps[16]) > 2 * len(steps[algebra.KERNEL_CELLS])
+    assert {shape[1:] == (2, 2) for shape in steps[16]} == {True, False}
 
 
 def test_orbit_query_counts_tuples_and_caps_orbits():
