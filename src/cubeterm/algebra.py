@@ -23,7 +23,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, product
+from itertools import chain, permutations, product
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -120,6 +120,13 @@ class FiniteAlgebra:
     def compiled(self) -> "CompiledAlgebra":
         """The numpy form of the algebra, built on first use and kept."""
         return _compile(self)
+
+    @cached_property
+    def automorphisms(self) -> np.ndarray:
+        """The automorphism group as a (k x n) array of permutations over
+        the compiled operations, the identity first; found on first use
+        and kept (`_automorphisms`)."""
+        return _automorphisms(self)
 
     def to_json(self) -> dict:
         obj: dict = {
@@ -240,6 +247,60 @@ def _compile(algebra: FiniteAlgebra) -> CompiledAlgebra:
         ops.append(_Op(n, m, grid.ravel(), m == 2 and bool((grid == grid.T).all()),
                        terms, complement))
     return CompiledAlgebra(dtype, tuple(ops))
+
+
+def _automorphisms(algebra: FiniteAlgebra) -> np.ndarray:
+    """The permutations of the universe that commute with every compiled
+    operation, as rows, the identity first.
+
+    A homomorphism is fixed by its images of a generating set.  The set is
+    grown greedily, each time by the smallest element outside the
+    subuniverse it generates so far, and every other element is recorded as
+    one operation's value at elements found before it.  All injective images
+    of the generators are extended along that record at once and checked
+    against every table; the maps that are not permutations are dropped (an
+    injective image of the generators can still extend to a non-injective
+    endomorphism).  When the candidates times n**max_arity exceed one
+    `KERNEL_CELLS` chunk, the identity alone is returned: any set of
+    automorphisms holding it is a sound answer for the pattern reduction.
+    """
+    n, ops = algebra.size, algebra.compiled.ops
+    identity = np.arange(n, dtype=algebra.compiled.dtype)[None]
+    cells = n ** max((op.arity for op in ops), default=0)
+    inside = np.zeros(n, dtype=bool)
+    gens, steps = [], []  # steps: (op, element, its arguments)
+    while not inside.all():
+        gens.append(int(np.argmin(inside)))
+        inside[gens[-1]] = True
+        if math.perm(n, len(gens)) * cells > KERNEL_CELLS:
+            return identity
+        grew = True
+        while grew:
+            grew = False
+            for op in ops:
+                held = inside
+                for _ in range(1, op.arity):
+                    held = held[..., None] & inside
+                # argument tuples inside with a value outside: each is met once
+                at = np.flatnonzero(held.ravel() & ~inside[op.table])
+                for i, v in zip(at.tolist(), op.table[at].tolist()):
+                    if not inside[v]:
+                        inside[v] = grew = True
+                        steps.append((op, v, list(np.unravel_index(i, held.shape))))
+    images = np.empty((math.perm(n, len(gens)), n), dtype=identity.dtype)
+    images[:, gens] = np.array(list(permutations(range(n), len(gens))), dtype=images.dtype)
+    for op, v, args in steps:
+        images[:, v] = op.table[_radix(images[:, args].T, n)]
+    images = images[(np.sort(images, axis=1) == identity).all(axis=1)]
+    for op in ops:
+        # keep sigma when sigma(f(x)) = f(sigma(x)) for every x, with the
+        # table index of sigma(x) built by broadcasting
+        moved = sigma = images.astype(np.intp)
+        for j in range(1, op.arity):
+            moved = moved[..., None] * n + sigma.reshape((len(sigma),) + (1,) * j + (n,))
+        moved = op.table[moved.reshape(len(sigma), -1)]
+        images = images[(images[:, op.table] == moved).all(axis=1)]
+    return np.vstack([identity, images[(images != identity).any(axis=1)]])
 
 
 def _radix(digits, n: int, dtype=np.int32) -> np.ndarray:

@@ -25,6 +25,22 @@ columns, which are closed under permuting coordinates, so a d-cube term
 exists, and its d-edge term passes every pattern in any order; only the
 first failing pattern may differ.
 
+Only one pattern per orbit of the automorphism group is asked
+(`FiniteAlgebra.automorphisms`): an automorphism sigma maps the query of a
+pattern, columns and target, onto the query of its image pattern
+(sigma(a_i), sigma(b_i)), and both give the same answer.  A representative
+that passes the edge query passes the cube query, and so do its
+sigma-images and, the cube columns being closed under permuting
+coordinates, their sorted forms, so every multiset passes the cube query
+and a cube term exists.  A failing representative refutes the cube term
+as before.  The representative of an orbit is its first pattern in order,
+so the first failing pattern in order is still asked.  Under
+`budget.max_members` a batched closure grows by the same counts in every
+pattern of an orbit, so there the first pattern cut off is asked too, and
+a budget error names the pattern it cut off.  The group is found once per
+algebra and kept; an algebra whose search would outgrow one kernel chunk
+gets the identity alone, and every pattern is asked.
+
 The pattern queries are many and small (closures of tens of members), so
 on three or more elements with a code space n**d of at most
 `POINTWISE_BATCH_SPACE` they close together: blocks of patterns, in
@@ -37,7 +53,7 @@ orbits: a permutation of the coordinates 2..d-1 that keeps their value
 pairs maps the edge columns onto themselves, so the query passes as
 `blocks` the runs of equal value pairs among those coordinates, which are
 consecutive in a sorted pattern.  Either way the answer is that of the
-first pattern in order that fails or is cut off by the budget.
+first pattern asked that fails or is cut off by the budget.
 
 The general decision asks, per value pair (a, b) and dimension d, whether
 prefix + a**d lies in the subpower generated by the prefixed proper
@@ -56,7 +72,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, groupby, islice
+from itertools import combinations_with_replacement, compress, groupby, islice
 from typing import Optional
 
 import numpy as np
@@ -216,13 +232,34 @@ POINTWISE_BATCH_CELLS = 1 << 13
 
 
 def _pattern_blocks(algebra: FiniteAlgebra, d: int, rows: int):
-    """The patterns of differing value pairs, one per multiset, in
-    `combinations_with_replacement` order, as (a, b) arrays of `rows`
-    patterns by d coordinates."""
+    """The patterns of differing value pairs, one per multiset and per orbit
+    of `algebra.automorphisms`, in `combinations_with_replacement` order, as
+    (a, b) arrays of `rows` patterns by d coordinates.
+
+    A pattern is a sorted d-tuple of pair indices.  An automorphism sigma
+    maps it to the pattern of the pairs (sigma(a_i), sigma(b_i)), sorted;
+    a pattern is kept when its key, the indices in base #pairs, is the
+    smallest over the group, that is when it is the first of its orbit."""
     pairs = _value_pairs(algebra)
     patterns = combinations_with_replacement(range(len(pairs)), d)
+    if len(algebra.automorphisms) > 1:
+        patterns = _orbit_firsts(algebra, pairs, patterns, d, rows)
     while block := list(islice(patterns, rows)):
         yield pairs[np.array(block)].transpose(2, 0, 1)
+
+
+def _orbit_firsts(algebra: FiniteAlgebra, pairs: np.ndarray, patterns, d: int, rows: int):
+    """The patterns of the stream that are the first of their orbit, read
+    `rows` at a time."""
+    n, count = algebra.size, len(pairs)
+    sigma = algebra.automorphisms.astype(np.intp)
+    a, b = sigma[:, pairs[:, 0]], sigma[:, pairs[:, 1]]
+    moved = a * (n - 1) + b - (b > a)  # (group x pairs): the index of each image pair
+    weights = np.array([count ** j for j in range(d - 1, -1, -1)],
+                       dtype=np.int64 if count ** d <= 1 << 63 else object)
+    while chunk := list(islice(patterns, rows)):
+        keys = np.sort(moved[:, chunk], axis=2) @ weights
+        yield from compress(chunk, keys[0] == keys.min(axis=0))
 
 
 def _check_cube_pointwise(algebra: FiniteAlgebra, d: int, budget: Budget) -> bool:
@@ -283,9 +320,11 @@ def check_cube_dim(algebra: FiniteAlgebra, d: int, *,
     docstring).  In a batched block `budget.max_members` caps each
     pattern's closure after every round and `budget.max_seconds` each
     block; on an orbit query `budget.max_members` caps the stored orbits.
-    Exceeding the budget raises rather than guessing: the check answers
-    False at the first failing pattern in order unless a pattern cut off
-    by the budget comes before it.
+    Only the first pattern of each orbit of `algebra.automorphisms` is
+    asked, with the same verdict (see the module docstring).  Exceeding the
+    budget raises rather than guessing: the check answers False at the
+    first failing pattern asked unless a pattern cut off by the budget
+    comes before it.
     """
     if d < 1:
         raise ValueError("cube dimension must be at least 1")

@@ -3,7 +3,7 @@
 import math
 import os
 import random
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 from hypothesis import settings
@@ -39,6 +39,61 @@ def random_algebra(rng: random.Random, n: int, arities: list[int]) -> FiniteAlge
             table = [table[min(x, y) * n + max(x, y)] for x in range(n) for y in range(n)]
         ops.append(OperationTable(f"f{i}", m, tuple(table)))
     return FiniteAlgebra(n, tuple(ops))
+
+
+def symmetric_idempotent_algebra(rng: random.Random, n: int, arities: list[int],
+                                 sigma: tuple[int, ...]) -> FiniteAlgebra:
+    """Random idempotent tables that the permutation sigma commutes with: each
+    value is drawn once per orbit of argument tuples under sigma and carried
+    along it.  A tuple whose orbit closes after s steps takes a value fixed
+    by sigma**s, one of its own entries or another such element."""
+    ops = []
+    for i, m in enumerate(arities):
+        table = [None] * n ** m
+        for x in product(range(n), repeat=m):
+            if table[_table_index(x, n)] is not None:
+                continue
+            orbit, power = [x], tuple(sigma)
+            while (y := tuple(sigma[a] for a in orbit[-1])) != x:
+                orbit.append(y)
+                power = tuple(sigma[a] for a in power)
+            fixed = [v for v in range(n) if power[v] == v]  # by sigma**len(orbit)
+            v = x[0] if len(set(x)) == 1 else rng.choice(fixed)
+            for y in orbit:
+                table[_table_index(y, n)] = v
+                v = sigma[v]
+        ops.append(OperationTable(f"f{i}", m, tuple(table)))
+    return FiniteAlgebra(n, tuple(ops))
+
+
+def _table_index(args, n: int) -> int:
+    idx = 0
+    for a in args:
+        idx = idx * n + a
+    return idx
+
+
+def relabel(algebra: FiniteAlgebra, perm: tuple[int, ...]) -> FiniteAlgebra:
+    """The isomorphic copy in which element a is called perm[a]."""
+    n = algebra.size
+    ops = []
+    for op in algebra.operations:
+        table = [0] * n ** op.arity
+        for x in product(range(n), repeat=op.arity):
+            table[_table_index([perm[a] for a in x], n)] = perm[op.table[_table_index(x, n)]]
+        ops.append(OperationTable(op.name, op.arity, tuple(table)))
+    return FiniteAlgebra(n, tuple(ops))
+
+
+def brute_force_automorphisms(algebra: FiniteAlgebra) -> set[tuple[int, ...]]:
+    """Reference automorphism group read off the tables alone: every
+    permutation p of the universe with p(f(x)) = f(p(x)) for each operation
+    f and argument tuple x.  It tries all n! permutations, so n <= 5."""
+    n = algebra.size
+    assert n <= 5
+    return {p for p in permutations(range(n))
+            if all(p[op.table[_table_index(x, n)]] == op.table[_table_index([p[a] for a in x], n)]
+                   for op in algebra.operations for x in product(range(n), repeat=op.arity))}
 
 
 def check_keys_like_codes(rng: random.Random, n: int, k: int) -> None:

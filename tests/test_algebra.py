@@ -7,21 +7,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_closure, random_idempotent_algebra
+from conftest import (
+    brute_force_automorphisms,
+    brute_force_closure,
+    random_idempotent_algebra,
+    relabel,
+    symmetric_idempotent_algebra,
+)
 from cubeterm import (
     BudgetExceededError,
     FiniteAlgebra,
     InputError,
     OperationTable,
+    TightExampleParams,
     apply,
+    check_cube_dim,
     enumerate_subuniverses,
     fixture,
+    idempotent_quasigroup,
     is_idempotent,
     is_subuniverse,
     mask_elements,
     mask_of,
     sg,
     sg_many,
+    tight_example,
     validate,
 )
 from cubeterm import algebra
@@ -301,3 +311,77 @@ def test_negative_mask_rejected():
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+# -- automorphisms -----------------------------------------------------------
+
+def _automorphism_cases():
+    """Fixtures, two relabelled copies of each, and seeded random idempotent
+    algebras on 2 to 5 elements with operations of arity 2 and 3, half of
+    them built to commute with a random permutation."""
+    rng = random.Random(19)
+    bases = [fixture(name) for name in ("lattice2", "semilattice2", "no_ops2", "no_ops3")]
+    bases += [idempotent_quasigroup(3), idempotent_quasigroup(5)]
+    bases += [tight_example(TightExampleParams(n, arities))
+              for n, arities in ((3, (3,)), (3, (2, 2)), (3, (4,)), (4, (2, 2)), (5, (3,)))]
+    cases = []
+    for base in bases:
+        cases += [base] + [relabel(base, tuple(rng.sample(range(base.size), base.size)))
+                           for _ in range(2)]
+    for _ in range(40):
+        n = rng.randint(2, 5)
+        arities = [rng.randint(2, 3) for _ in range(rng.randint(1, 2))]
+        cases.append(random_idempotent_algebra(rng, n, arities))
+        cases.append(symmetric_idempotent_algebra(rng, n, arities,
+                                                  tuple(rng.sample(range(n), n))))
+    for n in (3, 5):  # the quasigroup's group cut down by a second operation
+        for _ in range(3):
+            extra = symmetric_idempotent_algebra(rng, n, [2], tuple(rng.sample(range(n), n)))
+            cases.append(FiniteAlgebra(n, idempotent_quasigroup(n).operations + extra.operations))
+    return cases
+
+
+def test_automorphisms_match_brute_force():
+    nontrivial = 0
+    for alg in _automorphism_cases():
+        group = alg.automorphisms
+        rows = [tuple(row) for row in group.tolist()]
+        assert rows[0] == tuple(range(alg.size))
+        assert (np.sort(group, axis=1) == np.arange(alg.size)).all()
+        assert len(set(rows)) == len(rows)
+        assert set(rows) == brute_force_automorphisms(alg), alg
+        nontrivial += len(rows) > 1
+    assert nontrivial >= 40
+
+
+def test_automorphisms_drop_non_injective_endomorphisms():
+    # f(0, 1) = 2, so the greedy generating set is {0, 1}; h = (0, 2, 2)
+    # commutes with f and is injective on {0, 1}: an injective image of the
+    # generators whose extension passes every table but is no permutation
+    alg = FiniteAlgebra(3, (OperationTable("f", 2, (0, 2, 2, 0, 1, 1, 0, 1, 2)),))
+    f, h = alg.operations[0], (0, 2, 2)
+    assert sg(alg, {0}) == 0b001 and sg(alg, {0, 1}) == 0b111
+    assert all(h[apply(f, (x, y), 3)] == apply(f, (h[x], h[y]), 3)
+               for x in range(3) for y in range(3))
+    rows = [tuple(row) for row in alg.automorphisms.tolist()]
+    assert h not in rows and set(rows) == brute_force_automorphisms(alg)
+
+
+def test_automorphism_search_gives_up_beyond_one_kernel_chunk(monkeypatch):
+    # nothing new is generated from any set of a 10-element chain, so its
+    # greedy generating set is the universe, and a table of projections
+    # compiles to no operation: 10! candidates either way, beyond one
+    # kernel chunk, so the identity alone comes back before any candidate
+    # is built
+    def refuse(*_):
+        raise AssertionError("candidates were built")
+
+    monkeypatch.setattr(algebra, "permutations", refuse)
+    chain = FiniteAlgebra(10, (OperationTable(
+        "min", 2, tuple(min(x, y) for x in range(10) for y in range(10))),))
+    projection = FiniteAlgebra(10, (OperationTable(
+        "first", 2, tuple(x for x in range(10) for _ in range(10))),))
+    assert projection.compiled.ops == ()
+    for alg in (chain, projection):
+        assert alg.automorphisms.tolist() == [list(range(10))]
+    assert check_cube_dim(chain, 2) is False

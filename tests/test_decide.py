@@ -6,7 +6,13 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 
-from conftest import binary_constant3, random_algebra, random_idempotent_algebra
+from conftest import (
+    binary_constant3,
+    brute_force_automorphisms,
+    random_algebra,
+    random_idempotent_algebra,
+    symmetric_idempotent_algebra,
+)
 from cubeterm import (
     HAS_CUBE,
     NO_CUBE,
@@ -221,6 +227,105 @@ def test_pointwise_first_failing_or_cut_off_pattern_decides(monkeypatch, space, 
     assert check_cube_dim(FAILING_FIRST, 2, budget=budget) is False
     with pytest.raises(BudgetExceededError, match=r"pattern \(\(0, 1\), \(0, 1\)\)"):
         check_cube_dim(CUT_OFF_FIRST, 2, budget=budget)
+
+
+def test_pattern_blocks_keep_the_first_pattern_of_each_orbit():
+    # against the orbits written out: a multiset of value pairs is kept iff
+    # no automorphism maps it onto a smaller sorted pair tuple
+    rng = random.Random(23)
+    cases = [(idempotent_quasigroup(3), 3), (idempotent_quasigroup(5), 3),
+             (symmetric_idempotent_algebra(rng, 4, [2], (1, 0, 3, 2)), 2),
+             (FiniteAlgebra(2, (OperationTable("maj", 3, (0, 0, 0, 1, 0, 1, 1, 1)),)), 5)]
+    for alg, d in cases:
+        n, group = alg.size, brute_force_automorphisms(alg)
+        assert len(group) > 1
+        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        expected = [p for p in combinations_with_replacement(pairs, d)
+                    if all(p <= tuple(sorted((s[a], s[b]) for a, b in p)) for s in group)]
+        for rows in (1, 7, 1000):
+            kept = [tuple(zip(*pattern)) for a, b in decide._pattern_blocks(alg, d, rows)
+                    for pattern in zip(a.tolist(), b.tolist())]
+            assert kept == expected
+    assert sum(len(a) for a, _ in decide._pattern_blocks(idempotent_quasigroup(5), 3, 50)) == 77
+    assert sum(len(a) for a, _ in decide._pattern_blocks(idempotent_quasigroup(7), 2, 50)) == 25
+    # keys past int64: two pairs at d = 64, j copies of (1, 0) swapped with 64 - j
+    assert sum(len(a) for a, _ in decide._pattern_blocks(fixture("no_ops2"), 64, 50)) == 33
+    assert check_cube_dim(fixture("no_ops2"), 64) is False
+
+
+def _reduction_cases():
+    """Idempotent algebras with automorphisms, (algebra, dimensions): seeded
+    random ones on 3 to 5 elements built to commute with a random
+    permutation, quasigroups, and the self-dual idempotent ternary
+    operations on {0, 1}, beside a few rigid random draws."""
+    rng = random.Random(29)
+    cases = []
+    for _ in range(14):
+        n = rng.randint(3, 5)
+        arities = [rng.randint(2, 3) for _ in range(rng.randint(1, 2))]
+        sigma = tuple(rng.sample(range(n), n))
+        cases.append((symmetric_idempotent_algebra(rng, n, arities, sigma), (2, 3, 4)[:6 - n]))
+    for sigma in ((0, 1, 3, 2), (0, 1, 3, 4, 2)):  # the first pattern is fixed
+        cases.append((symmetric_idempotent_algebra(rng, len(sigma), [2], sigma), (2, 3)))
+    for _ in range(4):
+        cases.append((random_idempotent_algebra(rng, 3, [2]), (2, 3, 4)))
+    cases += [(idempotent_quasigroup(3), (2, 3, 4)), (idempotent_quasigroup(5), (2, 3)),
+              (idempotent_quasigroup(7), (2,))]
+    for bits in range(8):  # f(x') = f(x)' on the pairs 001/110, 010/101, 011/100
+        table = [0] * 8
+        for i, x in enumerate((1, 2, 3)):
+            table[x], table[7 - x] = bits >> i & 1, 1 - (bits >> i & 1)
+        table[7] = 1
+        cases.append((FiniteAlgebra(2, (OperationTable("t", 3, tuple(table)),)), (2, 3, 4, 5)))
+    return cases
+
+
+@pytest.mark.parametrize("space", [None, 0])
+def test_one_pattern_per_orbit_gives_every_pattern_verdict(monkeypatch, space):
+    # check_cube_dim asks the first pattern of each automorphism orbit; with
+    # the group patched to the identity alone it asks every pattern.  Batched
+    # blocks, and with POINTWISE_BATCH_SPACE at 0 one query per pattern,
+    # over orbits on two elements with arities at most 2 (no_ops2, whose
+    # group swaps 0 and 1; the lattices are rigid)
+    if space is not None:
+        monkeypatch.setattr(decide, "POINTWISE_BATCH_SPACE", space)
+    cases = _reduction_cases() + [(fixture(name), (2, 3, 13)) for name in
+                                  ("no_ops2", "lattice2", "semilattice2")]
+    patterns = []  # per check: patterns asked with the group, then without
+    blocks = decide._pattern_blocks
+
+    def count(*args):
+        for a, b in blocks(*args):
+            patterns[-1] += len(a)
+            yield a, b
+
+    def outcome(alg, d, budget):
+        try:
+            return check_cube_dim(alg, d, budget=budget)
+        except BudgetExceededError as err:
+            return str(err)
+
+    monkeypatch.setattr(decide, "_pattern_blocks", count)
+    verdicts = set()
+    for alg, dims in cases:
+        for d in dims:
+            # a batched closure is cut off alike in every pattern of an
+            # orbit, so a member cap names the same first pattern too
+            caps = (None, d + 2, alg.size ** d // 3) if space is None and alg.size > 2 else (None,)
+            for cap in caps:
+                budget = Budget() if cap is None else Budget(max_members=cap)
+                patterns.append(0)
+                reduced = outcome(alg, d, budget)
+                patterns.append(0)
+                with monkeypatch.context() as patch:
+                    patch.setattr(FiniteAlgebra, "automorphisms",
+                                  property(lambda self: np.arange(self.size)[None]))
+                    assert outcome(alg, d, budget) == reduced, (alg, d, cap)
+                assert patterns[-2] <= patterns[-1]
+                if cap is None and len(alg.automorphisms) > 1:
+                    verdicts.add(reduced)
+    assert verdicts == {True, False}
+    assert sum(patterns[::2]) < sum(patterns[1::2])
 
 
 def test_edge_one_element_and_validation():
