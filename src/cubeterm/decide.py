@@ -25,21 +25,24 @@ columns, which are closed under permuting coordinates, so a d-cube term
 exists, and its d-edge term passes every pattern in any order; only the
 first failing pattern may differ.
 
-Only one pattern per orbit of the automorphism group is asked
-(`FiniteAlgebra.automorphisms`): an automorphism sigma maps the query of a
-pattern, columns and target, onto the query of its image pattern
-(sigma(a_i), sigma(b_i)), and both give the same answer.  A representative
-that passes the edge query passes the cube query, and so do its
-sigma-images and, the cube columns being closed under permuting
-coordinates, their sorted forms, so every multiset passes the cube query
-and a cube term exists.  A failing representative refutes the cube term
-as before.  The representative of an orbit is its first pattern in order,
-so the first failing pattern in order is still asked.  Under
-`budget.max_members` a batched closure grows by the same counts in every
-pattern of an orbit, so there the first pattern cut off is asked too, and
-a budget error names the pattern it cut off.  The group is found once per
-algebra and kept; an algebra whose search would outgrow one kernel chunk
-gets the identity alone, and every pattern is asked.
+Only one pattern per edge orbit is asked.  An automorphism sigma
+(`FiniteAlgebra.automorphisms`) maps the query of a pattern, columns and
+target, onto the query of the pairs (sigma(a_i), sigma(b_i)) at the same
+coordinates, and a permutation of the coordinates that keeps {0, 1} as a
+set maps the edge columns onto themselves; both keep the answer, and map
+one closure onto the other round by round.  A pattern is skipped when
+such a pair of maps sends it onto a smaller sorted pattern
+(`_orbit_firsts`), so every skipped pattern repeats the query of an
+earlier pattern that is asked.  The answers asked, in order, are those of
+every pattern with the repeats left out: the verdict and the first
+failing pattern are unchanged, and a batched closure, whose member cap is
+checked after each round, is cut off at the same first pattern, so its
+budget error names it.  A per-pattern query checks its budget inside a
+round and a time cap depends on the work done before, so there the
+pattern cut off first, and whether a budgeted check raises at all, can
+differ from asking every pattern.  The group is found once per algebra
+and kept; an algebra with the identity alone, or whose group's images of
+one block of patterns would outgrow one kernel chunk, asks every pattern.
 
 The pattern queries are many and small (closures of tens of members), so
 on three or more elements with a code space n**d of at most
@@ -77,7 +80,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, close_codes, full_mask, is_idempotent
+from .algebra import KERNEL_CELLS, FiniteAlgebra, close_codes, full_mask, is_idempotent
 from .blockers import Blocker, find_blocker
 from .errors import BudgetExceededError
 from .relations import TUPLE_BLOCK, mix_family
@@ -232,41 +235,52 @@ POINTWISE_BATCH_CELLS = 1 << 13
 
 
 def _pattern_blocks(algebra: FiniteAlgebra, d: int, rows: int):
-    """The patterns of differing value pairs, one per multiset and per orbit
-    of `algebra.automorphisms`, in `combinations_with_replacement` order, as
-    (a, b) arrays of `rows` patterns by d coordinates.
+    """The patterns of differing value pairs, one per multiset and per edge
+    orbit (see `_orbit_firsts`), in `combinations_with_replacement` order,
+    as (a, b) arrays of `rows` patterns by d coordinates.
 
-    A pattern is a sorted d-tuple of pair indices.  An automorphism sigma
-    maps it to the pattern of the pairs (sigma(a_i), sigma(b_i)), sorted;
-    a pattern is kept when its key, the indices in base #pairs, is the
-    smallest over the group, that is when it is the first of its orbit."""
+    Every pattern is kept when the identity is the only automorphism, which
+    drops none (running the filter anyway made the median, rigid, check of
+    the tight examples about 7% slower), or when the group's images of
+    `rows` patterns would outgrow one `KERNEL_CELLS` chunk."""
     pairs = _value_pairs(algebra)
     patterns = combinations_with_replacement(range(len(pairs)), d)
-    if len(algebra.automorphisms) > 1:
-        patterns = _orbit_firsts(algebra, pairs, patterns, d, rows)
+    sigma = algebra.automorphisms[1:].astype(np.intp)  # without the identity
+    if 0 < len(sigma) * rows * d <= KERNEL_CELLS:
+        patterns = _orbit_firsts(algebra.size, pairs, sigma, patterns, rows)
     while block := list(islice(patterns, rows)):
         yield pairs[np.array(block)].transpose(2, 0, 1)
 
 
-def _orbit_firsts(algebra: FiniteAlgebra, pairs: np.ndarray, patterns, d: int, rows: int):
-    """The patterns of the stream that are the first of their orbit, read
-    `rows` at a time."""
-    n, count = algebra.size, len(pairs)
-    sigma = algebra.automorphisms.astype(np.intp)
-    a, b = sigma[:, pairs[:, 0]], sigma[:, pairs[:, 1]]
+def _orbit_firsts(n: int, pairs: np.ndarray, sigma: np.ndarray, patterns, rows: int):
+    """The patterns of the stream, sorted d-tuples of indices into `pairs`,
+    that come first in their edge orbit under the automorphisms `sigma`,
+    read `rows` at a time.
+
+    An automorphism maps a pattern to the pairs (sigma(a_i), sigma(b_i));
+    sorting them at coordinates {0, 1} and at 2..d-1 apart permutes
+    coordinates onto the same edge columns, so the image asks the same edge
+    query.  A pattern is dropped when some image sorted so is a sorted
+    pattern (one of the stream) smaller than it."""
+    a, b = sigma[:, pairs].transpose(2, 0, 1)
     moved = a * (n - 1) + b - (b > a)  # (group x pairs): the index of each image pair
-    weights = np.array([count ** j for j in range(d - 1, -1, -1)],
-                       dtype=np.int64 if count ** d <= 1 << 63 else object)
     while chunk := list(islice(patterns, rows)):
-        keys = np.sort(moved[:, chunk], axis=2) @ weights
-        yield from compress(chunk, keys[0] == keys.min(axis=0))
+        at = np.array(chunk)
+        images = moved[:, at]  # (group x rows x d)
+        images[..., :2].sort(axis=2)
+        images[..., 2:].sort(axis=2)
+        diff = images - at
+        first = np.take_along_axis(diff, np.argmax(diff != 0, axis=2)[..., None], 2)[..., 0]
+        # so sorted, an image is a sorted pattern when its second pair is at most its third
+        smaller = (first < 0) & (images[..., 1:2] <= images[..., 2:3]).all(axis=2)
+        yield from compress(chunk, ~smaller.any(axis=0))
 
 
 def _check_cube_pointwise(algebra: FiniteAlgebra, d: int, budget: Budget) -> bool:
     # Every instance with a repeated coordinate value pair (a_i == b_i)
     # passes trivially (the column selecting coordinate i alone equals the
     # target), so only patterns of genuinely differing pairs remain.  The
-    # answer is that of the first pattern in order that fails or is cut off.
+    # answer is that of the first pattern asked that fails or is cut off.
     n = algebra.size
     space = n ** d
     batched = n > 2 and space <= POINTWISE_BATCH_SPACE
@@ -320,11 +334,11 @@ def check_cube_dim(algebra: FiniteAlgebra, d: int, *,
     docstring).  In a batched block `budget.max_members` caps each
     pattern's closure after every round and `budget.max_seconds` each
     block; on an orbit query `budget.max_members` caps the stored orbits.
-    Only the first pattern of each orbit of `algebra.automorphisms` is
-    asked, with the same verdict (see the module docstring).  Exceeding the
-    budget raises rather than guessing: the check answers False at the
-    first failing pattern asked unless a pattern cut off by the budget
-    comes before it.
+    Only the first pattern of each edge orbit under `algebra.automorphisms`
+    is asked, with the same verdict and first failing pattern (see the
+    module docstring).  Exceeding the budget raises rather than guessing:
+    the check answers False at the first failing pattern asked unless a
+    pattern cut off by the budget comes before it.
     """
     if d < 1:
         raise ValueError("cube dimension must be at least 1")

@@ -1,6 +1,6 @@
 import random
 import signal
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, islice, product
 
 import numpy as np
 import pytest
@@ -34,7 +34,7 @@ from cubeterm import (
     tight_example,
     validate,
 )
-from cubeterm import algebra
+from cubeterm import algebra, decide
 from cubeterm.algebra import _code_digits, _frontier, _Op, _ragged_product
 
 MEET = OperationTable("meet", 2, (0, 0, 0, 1))
@@ -368,6 +368,18 @@ def test_automorphisms_drop_non_injective_endomorphisms():
 
 
 def test_automorphism_search_gives_up_beyond_one_kernel_chunk(monkeypatch):
+    # eight elements and no operation: all 8! permutations, within one
+    # chunk; but 8! images of a block of patterns are not, so the pattern
+    # filter takes the identity alone and the first block is the first 128
+    # patterns, as without automorphisms
+    no_ops8 = fixture("no_ops8")
+    assert len(no_ops8.automorphisms) == 40320
+    pairs = [(a, b) for a in range(8) for b in range(8) if a != b]
+    a, b = next(decide._pattern_blocks(no_ops8, 2, 128))
+    assert [tuple(zip(*pattern)) for pattern in zip(a.tolist(), b.tolist())] == \
+        list(islice(combinations_with_replacement(pairs, 2), 128))
+    assert check_cube_dim(no_ops8, 2) is False
+
     # nothing new is generated from any set of a 10-element chain, so its
     # greedy generating set is the universe, and a table of projections
     # compiles to no operation: 10! candidates either way, beyond one

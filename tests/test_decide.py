@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from collections import Counter
@@ -231,25 +232,38 @@ def test_pointwise_first_failing_or_cut_off_pattern_decides(monkeypatch, space, 
 
 def test_pattern_blocks_keep_the_first_pattern_of_each_orbit():
     # against the orbits written out: a multiset of value pairs is kept iff
-    # no automorphism maps it onto a smaller sorted pair tuple
+    # no automorphism maps it, sorted at coordinates {0, 1} and at the rest
+    # apart (the same edge query), onto a smaller sorted pair tuple
+    def edge_image(s, p):
+        image = [(s[a], s[b]) for a, b in p]
+        return tuple(sorted(image[:2])) + tuple(sorted(image[2:]))
+
     rng = random.Random(23)
-    cases = [(idempotent_quasigroup(3), 3), (idempotent_quasigroup(5), 3),
+    cases = [(idempotent_quasigroup(3), 3), (idempotent_quasigroup(3), 4),
+             (idempotent_quasigroup(5), 3),
              (symmetric_idempotent_algebra(rng, 4, [2], (1, 0, 3, 2)), 2),
+             (symmetric_idempotent_algebra(rng, 4, [2], (1, 0, 3, 2)), 3),
              (FiniteAlgebra(2, (OperationTable("maj", 3, (0, 0, 0, 1, 0, 1, 1, 1)),)), 5)]
     for alg, d in cases:
         n, group = alg.size, brute_force_automorphisms(alg)
         assert len(group) > 1
         pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
         expected = [p for p in combinations_with_replacement(pairs, d)
-                    if all(p <= tuple(sorted((s[a], s[b]) for a, b in p)) for s in group)]
-        for rows in (1, 7, 1000):
+                    if not any(q < p and list(q) == sorted(q)
+                               for q in (edge_image(s, p) for s in group))]
+        assert len(expected) < math.comb(len(pairs) + d - 1, d)
+        for rows in (1, 7, 500):
             kept = [tuple(zip(*pattern)) for a, b in decide._pattern_blocks(alg, d, rows)
                     for pattern in zip(a.tolist(), b.tolist())]
             assert kept == expected
-    assert sum(len(a) for a, _ in decide._pattern_blocks(idempotent_quasigroup(5), 3, 50)) == 77
+    assert sum(len(a) for a, _ in decide._pattern_blocks(idempotent_quasigroup(5), 3, 50)) == 210
     assert sum(len(a) for a, _ in decide._pattern_blocks(idempotent_quasigroup(7), 2, 50)) == 25
-    # keys past int64: two pairs at d = 64, j copies of (1, 0) swapped with 64 - j
-    assert sum(len(a) for a, _ in decide._pattern_blocks(fixture("no_ops2"), 64, 50)) == 33
+    # the group's images of 2,000 patterns outgrow one kernel chunk: all kept
+    assert sum(len(a) for a, _ in decide._pattern_blocks(idempotent_quasigroup(5), 3, 2000)) \
+        == 1540
+    # two pairs at d = 64, j copies of (0, 1) then (1, 0): only j = 0 maps
+    # (swap) onto a smaller sorted tuple, j = 64
+    assert sum(len(a) for a, _ in decide._pattern_blocks(fixture("no_ops2"), 64, 50)) == 64
     assert check_cube_dim(fixture("no_ops2"), 64) is False
 
 
