@@ -6,15 +6,21 @@ value of f(a1, ..., am) sits at position a1*n**(m-1) + a2*n**(m-2) + ... + am.
 Subsets of the universe are passed around as integer bitmasks (bit i set
 means element i is in the set).
 
-Every evaluation of operations over many arguments goes through one kernel,
-`_evaluate`, and every closure grows in semi-naive rounds by one rule,
-`_frontier`.  Two gathers feed the kernel: `_product` the dense cartesian
-products of argument stores (the tuple closure of `subpower`, the
-compatibility scan), and `_ragged` each row's own product over ragged
-stores (`_RowSets`).  Over the latter `_ragged_product` serves
-`close_codes`, which closes many sets of codes of A**d at once, and
-`_escapes`, the check of `is_subuniverse` and `verify_blockers`; the orbit
-expander `orbits._Orbits` gathers argument orbits and result sets with it.
+Operations are evaluated over many arguments by two kernels.  The value
+kernel `_evaluate` maps argument arrays to values, fed by two gathers:
+`_product` the dense cartesian products of argument stores (the tuple
+closure of `subpower`, the compatibility scan), and `_ragged` each row's
+own product over ragged stores (`_RowSets`).  Over the latter
+`_ragged_product` serves `close_codes`, which closes many sets of codes of
+A**d at once; the orbit expander `orbits._Orbits` gathers argument orbits
+and result sets with `_ragged` itself.  The set kernel `_images` maps one
+element set per argument to the image f(S_1 x ... x S_m): it contracts
+the operation's one-hot table when that fits one kernel chunk and runs
+`_ragged_product` beyond.  It serves `sg_many`, the subuniverse test of
+`is_subuniverse` and `enumerate_subuniverses` (`_escapes`), and
+`verify_blockers`.  Every closure grows in semi-naive rounds by one rule,
+`_frontier`, except `sg_many`'s rounds over contracted tables, which take
+full images, as a contraction costs the same whatever a round added.
 """
 
 from __future__ import annotations
@@ -198,6 +204,10 @@ class _Op(NamedTuple):
     of a pattern = argument arity-1-j) of the bitwise formula: the minterms
     where the table is 1, or, when `complement` is set, the ones where it
     is 0 and the formula's value is negated.
+
+    When the table fits one kernel chunk (n**(arity+1) <= KERNEL_CELLS),
+    `onehot` is its (n**arity x n) float32 one-hot form, row i holding a 1
+    at column table[i], for `_images`; None beyond that bound.
     """
 
     n: int
@@ -206,6 +216,7 @@ class _Op(NamedTuple):
     symmetric: bool
     terms: tuple[int, ...]
     complement: bool
+    onehot: Optional[np.ndarray] = None
 
 
 class CompiledAlgebra(NamedTuple):
@@ -244,8 +255,12 @@ def _compile(algebra: FiniteAlgebra) -> CompiledAlgebra:
         # two elements: a formula over the fewer of the 1-entries and 0-entries
         complement = n == 2 and 2 * int(grid.sum()) > grid.size
         terms = tuple(np.flatnonzero(grid.ravel() != complement).tolist()) if n == 2 else ()
+        onehot = None
+        if n ** (m + 1) <= KERNEL_CELLS:
+            onehot = np.zeros((grid.size, n), dtype=np.float32)
+            onehot[np.arange(grid.size), grid.ravel()] = 1
         ops.append(_Op(n, m, grid.ravel(), m == 2 and bool((grid == grid.T).all()),
-                       terms, complement))
+                       terms, complement, onehot))
     return CompiledAlgebra(dtype, tuple(ops))
 
 
@@ -475,12 +490,9 @@ class _RowSets:
     @classmethod
     def of(cls, matrix: np.ndarray) -> "_RowSets":
         """The rows of a bool matrix as their sorted column lists."""
-        counts = matrix.sum(axis=1)
-        return cls(np.nonzero(matrix)[1], np.cumsum(counts) - counts, counts)
-
-    def only(self, keep: np.ndarray) -> "_RowSets":
-        """The same rows, those outside the bool array `keep` emptied."""
-        return _RowSets(self.elems, self.starts, np.where(keep, self.counts, 0))
+        rows, columns = np.divmod(matrix.ravel().nonzero()[0], matrix.shape[1])
+        counts = np.bincount(rows, minlength=len(matrix))
+        return cls(columns, counts.cumsum() - counts, counts)
 
 
 def _ragged(stores, step: Optional[int] = None):
@@ -525,13 +537,42 @@ def _ragged_product(op: _Op, stores, cells: int = KERNEL_CELLS,
         yield rows, _evaluate(op, args) if digits is None else _code_values(op, args, digits)
 
 
-def _escapes(op: _Op, stores, inside: np.ndarray) -> np.ndarray:
-    """Rows with a value of op over their own stores (`_ragged_product`)
-    outside their row of the bool matrix `inside`."""
-    out = np.zeros(len(inside), dtype=bool)
-    for rows, values in _ragged_product(op, stores):
-        out[rows[~inside[rows, values]]] = True
+def _images(op: _Op, sets) -> np.ndarray:
+    """The set kernel: each row's image under op, as a (rows x n) bool
+    matrix of the values of op over sets[0][r] x ... x sets[m-1][r], each
+    sets[j] a (rows x n) bool matrix.
+
+    With the one-hot table it contracts the table with the rows' argument
+    indicators, KERNEL_CELLS // n**m rows at a time: argument 0 by one
+    float32 matmul with the table as (n x n**m), each later argument by a
+    batched one over what is left, and a value is in the image iff its
+    count is > 0 (exact: a count is at most n**m < 2**24).  Beyond the
+    bound the values come from `_ragged_product`."""
+    out = np.zeros(sets[0].shape, dtype=bool)
+    if not len(out):
+        return out
+    if op.onehot is None:
+        own = {id(s): s for s in sets}  # a set passed twice is gathered once
+        own = {key: _RowSets.of(s) for key, s in own.items()}
+        for rows, values in _ragged_product(op, [own[id(s)] for s in sets]):
+            out[rows, values] = True
+        return out
+    n = op.n
+    table = op.onehot.reshape(n, -1)
+    step = max(1, KERNEL_CELLS // len(op.onehot))
+    for lo in range(0, len(out), step):
+        chunk = [s[lo:lo + step].astype(np.float32) for s in sets]
+        counts = chunk[0] @ table
+        for s in chunk[1:]:
+            counts = np.matmul(s[:, None, :], counts.reshape(len(s), n, -1))[:, 0]
+        out[lo:lo + step] = counts > 0
     return out
+
+
+def _escapes(op: _Op, sets, inside: np.ndarray) -> np.ndarray:
+    """Rows with a value of op over their own product of `sets` outside
+    their row of the bool matrix `inside` (`_images`)."""
+    return (_images(op, sets) & ~inside).any(axis=1)
 
 
 def close_codes(algebra: FiniteAlgebra, d: int, gens: np.ndarray, targets=None, *,
@@ -549,7 +590,8 @@ def close_codes(algebra: FiniteAlgebra, d: int, gens: np.ndarray, targets=None, 
     the run, keeping the codes the round made before it, and truncates
     every row still live in it that has not reached its target.
     Operations act on codes through the digit table, so d = 1 is the Sg
-    closure.
+    closure; `sg_many` runs it there only for operations beyond the set
+    kernel's bound.
 
     Returns (members, found, truncated): each row's codes as a bool
     matrix, whether it holds its target, whether a cap cut it off.
@@ -606,18 +648,37 @@ def mask_matrix(sets, n: int) -> np.ndarray:
     width = (n + 7) // 8
     octets = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
     return np.unpackbits(octets.reshape(len(masks), width), axis=1, count=n,
-                         bitorder="little").astype(bool)
+                         bitorder="little").view(bool)
 
 
 def sg_many(algebra: FiniteAlgebra, seeds) -> list[int]:
-    """Subuniverses generated by many seed sets at once, as bitmasks:
-    `close_codes` at d = 1 on the (seeds x n) membership matrix.  Sg({})
-    is empty.  A closure cut off by a `MemoryError` raises it again, as
-    a partial subuniverse would be a wrong answer."""
-    members, _, truncated = close_codes(algebra, 1, mask_matrix(seeds, algebra.size))
-    if truncated.any():
-        raise MemoryError("Sg closure: out of memory")
-    packed = np.packbits(members, axis=1, bitorder="little")
+    """Subuniverses generated by many seed sets at once, as bitmasks.
+    Sg({}) is empty.
+
+    When every operation has its one-hot table, the rows close in
+    full-image rounds of the set kernel: a round adds every operation's
+    `_images` of the row, and a row leaves once a round adds nothing or it
+    is the universe, as a contraction costs the same whatever the last
+    round added.  Otherwise they close in `close_codes` at d = 1, whose
+    semi-naive rounds take only the new argument tuples through
+    `_ragged_product`.  Either way a round that cannot be allocated raises
+    `MemoryError`, as a partial subuniverse would be a wrong answer."""
+    every = mask_matrix(seeds, algebra.size)
+    ops = algebra.compiled.ops
+    if all(op.onehot is not None for op in ops):
+        live = np.arange(len(every))
+        while live.size:
+            rows = every[live]
+            grown = rows.copy()
+            for op in ops:
+                grown |= _images(op, [rows] * op.arity)
+            every[live] = grown
+            live = live[(grown != rows).any(axis=1) & ~grown.all(axis=1)]
+    else:
+        every, _, truncated = close_codes(algebra, 1, every)
+        if truncated.any():
+            raise MemoryError("Sg closure: out of memory")
+    packed = np.packbits(every, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
@@ -628,12 +689,14 @@ def sg(algebra: FiniteAlgebra, seed) -> int:
 
 def _subuniverses(algebra: FiniteAlgebra, sets) -> np.ndarray:
     """Which of the element sets are closed under every basic operation, as
-    a bool array: those over whose own product no operation `_escapes`."""
+    a bool array: those over whose own product no operation `_escapes`,
+    each operation checking the sets still closed."""
     inside = mask_matrix(sets, algebra.size)
-    own = _RowSets.of(inside)
     closed = np.ones(len(inside), dtype=bool)
     for op in algebra.compiled.ops:
-        closed &= ~_escapes(op, [own.only(closed)] * op.arity, inside)
+        rows = np.flatnonzero(closed)
+        own = inside[rows]
+        closed[rows] = ~_escapes(op, [own] * op.arity, own)
     return closed
 
 

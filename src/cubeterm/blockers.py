@@ -5,7 +5,9 @@ operation has an "absorbing" coordinate j: plugging any element of C into
 position j and elements of D elsewhere always lands back in C.  An
 idempotent algebra has a cube term exactly when it has no blocker, so a
 blocker is a finite certificate that no cube term of any dimension exists.
-`find_blocker` batches its pair closures (`sg_many`) and checks (`verify_blockers`).
+`find_blocker` batches its pair closures (`sg_many`) and checks
+(`verify_blockers`); both compute set images with the set kernel
+`algebra._images`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .algebra import (
     FiniteAlgebra,
     _as_mask,
     _escapes,
-    _RowSets,
     enumerate_subuniverses,
     full_mask,
     is_idempotent,
@@ -59,28 +60,35 @@ def _require_idempotent(algebra: FiniteAlgebra) -> None:
 def verify_blockers(algebra: FiniteAlgebra, pairs) -> np.ndarray:
     """`verify_blocker` of many (C, D) pairs at once, as a bool array.
 
-    Each operation's passes run over `_ragged_product` on the C and D
-    matrices of the rows not yet failed.  C needs no closure pass: an
-    absorbing coordinate maps C x .. x C into C, as C lies in D.
+    Each operation checks the rows still undecided with the set kernel
+    `_images` (through `_escapes`): first, coordinate by coordinate (the
+    first alone for a symmetric operation), whether one absorbs, on the
+    rows none has absorbed yet; then whether D is closed, on the rows that
+    passed and whose D is not the universe.  Checking absorption first
+    spares the closure pass the rows that fail.  C needs no closure pass:
+    an absorbing coordinate maps C x .. x C into C, as C lies in D.
     """
     _require_idempotent(algebra)
     n = algebra.size
     masks = [(_as_mask(c), _as_mask(d)) for c, d in pairs]
     ok = np.array([0 != c != d and not (c & ~d or d >> n) for c, d in masks], dtype=bool)
     picked = np.flatnonzero(ok)
-    c_in, d_in = (mask_matrix([masks[r][i] for r in picked], n) for i in (0, 1))
-    c_sets, d_sets = _RowSets.of(c_in), _RowSets.of(d_in)
+    both = mask_matrix([masks[r][i] for i in (0, 1) for r in picked], n)
+    c_in, d_in = both[:len(picked)], both[len(picked):]
     good, proper = np.ones(len(picked), dtype=bool), ~d_in.all(axis=1)
     for op in algebra.compiled.ops:
-        if (good & proper).any():
-            good &= ~_escapes(op, [d_sets.only(good & proper)] * op.arity, d_in)
         absorbs = ~good
         for j in range(1 if op.symmetric else op.arity):
-            if absorbs.all():
+            rows = np.flatnonzero(~absorbs)
+            if not rows.size:
                 break
-            stores = [c_sets.only(~absorbs) if i == j else d_sets for i in range(op.arity)]
-            absorbs |= ~_escapes(op, stores, c_in)
+            c_sets, d_sets = c_in[rows], d_in[rows]
+            stores = [c_sets if i == j else d_sets for i in range(op.arity)]
+            absorbs[rows] = ~_escapes(op, stores, c_sets)
         good &= absorbs
+        rows = np.flatnonzero(good & proper)
+        d_sets = d_in[rows]
+        good[rows] = ~_escapes(op, [d_sets] * op.arity, d_sets)
     ok[picked] = good
     return ok
 

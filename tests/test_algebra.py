@@ -35,7 +35,7 @@ from cubeterm import (
     validate,
 )
 from cubeterm import algebra, decide
-from cubeterm.algebra import _code_digits, _frontier, _Op, _ragged_product
+from cubeterm.algebra import _code_digits, _frontier, _images, _Op, _ragged_product
 
 MEET = OperationTable("meet", 2, (0, 0, 0, 1))
 
@@ -147,6 +147,19 @@ def test_sg_many_matches_brute_force(case):
         assert sg(alg, seed) == sg_many(alg, [seed])[0] == mask
 
 
+@settings(max_examples=300, deadline=None)
+@given(algebras_and_seed_batches())
+def test_sg_many_beyond_the_bound_matches_brute_force(case):
+    # the same draws with the set kernel's bound below every table, so
+    # every closure takes the ragged rounds of `close_codes`
+    alg, seeds = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algebra, "KERNEL_CELLS", 0)
+        assert all(op.onehot is None for op in alg.compiled.ops)
+    for seed, mask in zip(seeds, sg_many(alg, seeds)):
+        assert set(mask_elements(mask)) == brute_force_closure(alg, set(mask_elements(seed)))
+
+
 def test_sg_many_edge_cases():
     alg = fixture("lattice2")
     assert sg_many(alg, []) == []
@@ -224,6 +237,24 @@ def test_ragged_product_pairs_and_codes():
                 op, stores[1:] * 2 if pairs else stores, cells, _code_digits(n, 2))
                 for r, v in zip(rows, values))
             assert got == want
+
+
+def test_images_are_each_row_product_image():
+    # the set kernel against each row's own product, over more rows than
+    # one contraction takes (KERNEL_CELLS // 16**3 = 16), and the same
+    # operation without its one-hot table, through the ragged gather
+    rng = np.random.default_rng(13)
+    n = 16
+    op = random_idempotent_algebra(random.Random(13), n, [3]).compiled.ops[0]
+    sets = [rng.random((40, n)) < p for p in (0.1, 0.3, 0.5)]
+    sets[0][7] = False  # a row with an empty product
+    want = np.zeros((40, n), dtype=bool)
+    for r in range(40):
+        for a, b, c in product(*(np.flatnonzero(s[r]) for s in sets)):
+            want[r, op.table[(a * n + b) * n + c]] = True
+    assert op.onehot is not None
+    assert (_images(op, sets) == want).all()
+    assert (_images(op._replace(onehot=None), sets) == want).all()
 
 
 def test_enumerate_subuniverses_lattice():

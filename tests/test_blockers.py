@@ -27,7 +27,7 @@ from cubeterm import (
     mask_of,
     verify_blocker,
 )
-from cubeterm import blockers
+from cubeterm import algebra, blockers, is_subuniverse, sg_many
 from cubeterm.blockers import verify_blockers
 
 C0 = mask_of([0])
@@ -94,14 +94,19 @@ def test_found_blockers_verify():
             assert verify_blocker(alg, b.C, b.D)
 
 
-def test_verify_blocker_matches_table_oracle():
+def check_verify_blocker_against_table_oracle(bound=None):
     # every pair C < D of subsets, subuniverses or not, on seeded random
-    # idempotent algebras with operations of arity 1 to 3
+    # idempotent algebras with operations of arity 1 to 3; with `bound`
+    # the algebras are compiled under that set kernel bound
     rng = random.Random(41)
     for n in range(2, 7):
         for _ in range(3):
             alg = random_idempotent_algebra(
                 rng, n, [rng.randint(1, 3) for _ in range(rng.randint(1, 2))])
+            if bound is not None:
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(algebra, "KERNEL_CELLS", bound)
+                    assert all(op.onehot is None for op in alg.compiled.ops)
             subs = [m for m in range(1, 1 << n)
                     if brute_force_closure(alg, set(mask_elements(m))) == set(mask_elements(m))]
             pairs = [(c, d) for d in subs for c in subs if c != d and c & ~d == 0]
@@ -112,6 +117,48 @@ def test_verify_blocker_matches_table_oracle():
                 assert verify_blocker(alg, c, d) == want, (alg, c, d)
             # the same pairs in one batched call, row by row
             assert verify_blockers(alg, pairs).tolist() == wants, alg
+
+
+def test_verify_blocker_matches_table_oracle():
+    check_verify_blocker_against_table_oracle()
+
+
+def test_verify_blocker_beyond_the_bound_matches_table_oracle():
+    # the same pairs with the set kernel's bound below every table: the
+    # checks take the ragged gather
+    check_verify_blocker_against_table_oracle(bound=0)
+
+
+def test_set_kernel_at_and_just_past_its_bound():
+    # a ternary table on 16 elements has 16**4 = KERNEL_CELLS one-hot
+    # cells, the most the set kernel contracts; the order-41 quasigroup's
+    # 41**3 are just past it, so its sets take the ragged gather.  The
+    # ternary one absorbs into C = {0, 1, 2} at its first coordinate, so
+    # (C, A) is a blocker.  Sg, the subuniverse test and the blocker check
+    # must agree with the table oracles on both.
+    rng = random.Random(83)
+    n, c_set = 16, [0, 1, 2]
+    table = [x[0] if len(set(x)) == 1 else rng.choice(c_set) if x[0] in c_set
+             else rng.randrange(n) for x in product(range(n), repeat=3)]
+    planted = FiniteAlgebra(n, (OperationTable("f", 3, tuple(table)),))
+    assert algebra.KERNEL_CELLS == 16 ** 4
+    for alg, contracted in ((planted, True), (idempotent_quasigroup(41), False)):
+        assert [op.onehot is not None for op in alg.compiled.ops] == [contracted]
+        n = alg.size
+        seeds = [mask_of(rng.sample(range(n), k)) for k in (1, 2, 2, 3)] + [mask_of(c_set)]
+        closed = sg_many(alg, seeds)
+        for seed, mask in zip(seeds, closed):
+            assert set(mask_elements(mask)) == brute_force_closure(alg, set(mask_elements(seed)))
+        subsets = seeds + closed + [rng.getrandbits(n) for _ in range(6)]
+        assert [is_subuniverse(alg, s) for s in subsets] == [
+            brute_force_closure(alg, set(mask_elements(s))) == set(mask_elements(s))
+            for s in subsets]
+        pairs = [(1 << c, d) for d in closed + [(1 << n) - 1] for c in mask_elements(d)[:3]]
+        pairs += [(c, d) for c in seeds for d in closed if c & ~d == 0]
+        wants = [brute_force_is_blocker(alg, set(mask_elements(c)), set(mask_elements(d)))
+                 for c, d in pairs]
+        assert verify_blockers(alg, pairs).tolist() == wants
+        assert any(wants) == contracted
 
 
 def test_search_and_algorithm_agree_on_random_sample():

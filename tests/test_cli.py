@@ -117,16 +117,16 @@ def test_out_of_memory_is_undecided(capsys, tmp_path, monkeypatch):
 
 def test_out_of_memory_in_sg_is_undecided(capsys, tmp_path, monkeypatch):
     # the blocker path's batched Sg closure raises MemoryError when it
-    # cannot allocate a round; each command on it ends in a truncated
+    # cannot allocate a round (the set kernel's, as the quasigroup's table
+    # fits one kernel chunk); each command on it ends in a truncated
     # envelope with exit 1, not a traceback
     path = tmp_path / "q7.json"
     path.write_text(json.dumps(idempotent_quasigroup(7).to_json()))
 
     def starved(*args, **kwargs):
         raise MemoryError("no room for a round")
-        yield
 
-    monkeypatch.setattr(algebra, "_ragged_product", starved)
+    monkeypatch.setattr(algebra, "_images", starved)
     for command in ("find-blocker", "decide-cube", "decide-nu"):
         rc, result, err = invoke(capsys, command, str(path))
         assert rc == 1 and result["payload"]["truncated"] is True, command

@@ -550,6 +550,15 @@ def test_close_codes_out_of_memory_truncates(monkeypatch):
     pattern =r"cube dimension 2: .* pattern \(\(0, 1\), \(0, 1\)\)"
     with pytest.raises(BudgetExceededError, match=pattern):
         check_cube_dim(idempotent_quasigroup(3), 2)
+    # beyond the set kernel's bound Sg closes in close_codes, whose starved
+    # round truncates the closure, and sg raises rather than return it
+    with pytest.raises(MemoryError):
+        sg(idempotent_quasigroup(41), [0, 1])
+    # Sg's rounds over the small lattice tables run the set kernel
+    def no_room(*args, **kwargs):
+        raise MemoryError("no room")
+
+    monkeypatch.setattr(algebra, "_images", no_room)
     with pytest.raises(MemoryError):
         sg(fixture("lattice2"), [0])
 
