@@ -15,7 +15,8 @@ own product over ragged stores (`_RowSets`).  Over the latter
 A**d at once; the orbit expander `orbits._Orbits` gathers argument orbits
 and result sets with `_ragged` itself.  The set kernel `_images` maps one
 element set per argument to the image f(S_1 x ... x S_m): it contracts
-the operation's one-hot table when that fits one kernel chunk and runs
+the operation's one-hot table when that fits one kernel chunk, unless the
+sets' own products are cheaper to gather (`_gathers`), and runs
 `_ragged_product` beyond.  It serves `sg_many`, the subuniverse test of
 `is_subuniverse` and `enumerate_subuniverses` (`_escapes`), and
 `verify_blockers`.  Every closure grows in semi-naive rounds by one rule,
@@ -43,6 +44,15 @@ MAX_SIZE = 1 << 16
 #: stay in cache: on a 2-core x86 machine the two-element formulas ran 2-3
 #: times slower on chunks of 2**22 cells than on chunks of 2**16.
 KERNEL_CELLS = 1 << 16
+
+#: The ragged gather's cost in multiply-adds of a one-hot contraction, per
+#: tuple and per call (`_gathers`).  With numpy on a 2-core x86 machine a
+#: contraction took 0.04-0.09 ns per multiply-add, the gather 30-100 ns per
+#: tuple and 20-30 us more per call; these two came closest to the faster
+#: path on every set-kernel call of the blocker benchmark and of the
+#: blocker search on chain lattices and median algebras.
+GATHER_TUPLE_MULADDS = 1000
+GATHER_CALL_MULADDS = 400_000
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +226,7 @@ class _Op(NamedTuple):
     symmetric: bool
     terms: tuple[int, ...]
     complement: bool
-    onehot: Optional[np.ndarray] = None
+    onehot: Optional[np.ndarray]
 
 
 class CompiledAlgebra(NamedTuple):
@@ -537,21 +547,37 @@ def _ragged_product(op: _Op, stores, cells: int = KERNEL_CELLS,
         yield rows, _evaluate(op, args) if digits is None else _code_values(op, args, digits)
 
 
+def _gathers(op: _Op, sets) -> bool:
+    """Whether `_images` takes the ragged gather: always beyond the one-hot
+    bound, else when the rows' argument tuples, counted as if every row
+    had the mean size, cost fewer multiply-adds (GATHER_TUPLE_MULADDS,
+    GATHER_CALL_MULADDS) than contracting the table, rows * n**(arity+1),
+    as for small sets over a large table."""
+    if op.onehot is None:
+        return True
+    rows = len(sets[0])
+    muladds = rows * op.n ** (op.arity + 1)
+    if muladds <= GATHER_CALL_MULADDS:
+        return False
+    tuples = rows * math.prod(np.count_nonzero(s) / rows for s in sets)
+    return GATHER_CALL_MULADDS + GATHER_TUPLE_MULADDS * tuples < muladds
+
+
 def _images(op: _Op, sets) -> np.ndarray:
     """The set kernel: each row's image under op, as a (rows x n) bool
     matrix of the values of op over sets[0][r] x ... x sets[m-1][r], each
     sets[j] a (rows x n) bool matrix.
 
-    With the one-hot table it contracts the table with the rows' argument
-    indicators, KERNEL_CELLS // n**m rows at a time: argument 0 by one
-    float32 matmul with the table as (n x n**m), each later argument by a
-    batched one over what is left, and a value is in the image iff its
-    count is > 0 (exact: a count is at most n**m < 2**24).  Beyond the
-    bound the values come from `_ragged_product`."""
+    Unless it `_gathers`, it contracts the one-hot table with the rows'
+    argument indicators, KERNEL_CELLS // n**m rows at a time: argument 0
+    by one float32 matmul with the table as (n x n**m), each later
+    argument by a batched one over what is left, and a value is in the
+    image iff its count is > 0 (exact: a count is at most n**m < 2**24).
+    Otherwise the values come from `_ragged_product`."""
     out = np.zeros(sets[0].shape, dtype=bool)
     if not len(out):
         return out
-    if op.onehot is None:
+    if _gathers(op, sets):
         own = {id(s): s for s in sets}  # a set passed twice is gathered once
         own = {key: _RowSets.of(s) for key, s in own.items()}
         for rows, values in _ragged_product(op, [own[id(s)] for s in sets]):
@@ -590,8 +616,8 @@ def close_codes(algebra: FiniteAlgebra, d: int, gens: np.ndarray, targets=None, 
     the run, keeping the codes the round made before it, and truncates
     every row still live in it that has not reached its target.
     Operations act on codes through the digit table, so d = 1 is the Sg
-    closure; `sg_many` runs it there only for operations beyond the set
-    kernel's bound.
+    closure; `sg_many` runs it there only for algebras with an operation
+    beyond the set kernel's bound.
 
     Returns (members, found, truncated): each row's codes as a bool
     matrix, whether it holds its target, whether a cap cut it off.
@@ -661,7 +687,9 @@ def sg_many(algebra: FiniteAlgebra, seeds) -> list[int]:
     is the universe, as a contraction costs the same whatever the last
     round added.  Otherwise they close in `close_codes` at d = 1, whose
     semi-naive rounds take only the new argument tuples through
-    `_ragged_product`.  Either way a round that cannot be allocated raises
+    `_ragged_product`: full images gathered anew each round made
+    `find_blocker` about 1.7x slower on the order-41 and -61 quasigroups.
+    Either way a round that cannot be allocated raises
     `MemoryError`, as a partial subuniverse would be a wrong answer."""
     every = mask_matrix(seeds, algebra.size)
     ops = algebra.compiled.ops

@@ -35,7 +35,7 @@ from cubeterm import (
     validate,
 )
 from cubeterm import algebra, decide
-from cubeterm.algebra import _code_digits, _frontier, _images, _Op, _ragged_product
+from cubeterm.algebra import _code_digits, _frontier, _gathers, _images, _Op, _ragged_product
 
 MEET = OperationTable("meet", 2, (0, 0, 0, 1))
 
@@ -173,7 +173,7 @@ def test_frontier_meets_each_new_tuple_once(arity, symmetric):
     # the round rule's blocks over index lists: every argument tuple over
     # `every` that touches `new` exactly once; for a symmetric op each
     # unordered pair once, with the [new, new] block cut to pairs
-    op = _Op(2, arity, None, symmetric, (), False)
+    op = _Op(2, arity, None, symmetric, (), False, None)
     every = list(range(6))
     for cut in (0, 1, 4):
         old, new = every[:cut], every[cut:]
@@ -252,9 +252,32 @@ def test_images_are_each_row_product_image():
     for r in range(40):
         for a, b, c in product(*(np.flatnonzero(s[r]) for s in sets)):
             want[r, op.table[(a * n + b) * n + c]] = True
-    assert op.onehot is not None
+    assert op.onehot is not None and not _gathers(op, sets)
     assert (_images(op, sets) == want).all()
     assert (_images(op._replace(onehot=None), sets) == want).all()
+
+
+def test_images_gather_small_sets_over_a_large_table():
+    # 120 rows of one or two elements under a ternary op on 16 elements:
+    # their few hundred tuples cost less than contracting the table 120
+    # times, so the kernel gathers; 4 rows of the same op contract whatever
+    # their sets, and so do 120 rows of half the universe.  Every image is
+    # the row's own product image.
+    rng = np.random.default_rng(17)
+    n = 16
+    op = random_idempotent_algebra(random.Random(17), n, [3]).compiled.ops[0]
+    small = [np.zeros((120, n), dtype=bool) for _ in range(3)]
+    for s in small:
+        s[np.arange(120), rng.integers(n, size=120)] = True
+        s[np.arange(0, 120, 2), rng.integers(n, size=60)] = True
+    half = [rng.random((120, n)) < 0.5 for _ in range(3)]
+    for sets, gathers in ((small, True), ([s[:4] for s in small], False), (half, False)):
+        assert _gathers(op, sets) == gathers
+        want = np.zeros(sets[0].shape, dtype=bool)
+        for r in range(len(want)):
+            for a, b, c in product(*(np.flatnonzero(s[r]) for s in sets)):
+                want[r, op.table[(a * n + b) * n + c]] = True
+        assert (_images(op, sets) == want).all()
 
 
 def test_enumerate_subuniverses_lattice():
