@@ -12,8 +12,9 @@ kernel `_evaluate` maps argument arrays to values, fed by two gathers:
 closure of `subpower`, the compatibility scan), and `_ragged` each row's
 own product over ragged stores (`_RowSets`).  Over the latter
 `_ragged_product` serves `close_codes`, which closes many sets of codes of
-A**d at once; the orbit expander `orbits._Orbits` gathers argument orbits
-and result sets with `_ragged` itself.  The set kernel `_images` maps one
+A**d at once (on two elements d-bit codes, under the bitwise formulas);
+the orbit expander `orbits._Orbits` gathers argument orbits and result
+sets with `_ragged` itself.  The set kernel `_images` maps one
 element set per argument to the image f(S_1 x ... x S_m): it contracts
 the operation's one-hot table when that fits one kernel chunk, unless the
 sets' own products are cheaper to gather (`_gathers`), and runs
@@ -351,14 +352,14 @@ def _evaluate(op: _Op, args, mask: Optional[int] = None) -> np.ndarray:
     for v in op.terms:
         term = None
         for j, x in enumerate(args):
-            lit = x if v >> (op.arity - 1 - j) & 1 else ~x & mask
+            lit = x if v >> (op.arity - 1 - j) & 1 else x ^ mask  # codes fit the mask
             term = lit if term is None else term & lit
         acc = term if acc is None else acc | term
     if acc is None:
         # constant table: still honour the broadcast shape of the arguments
         acc = np.zeros(np.broadcast_shapes(*(np.shape(a) for a in args)),
                        dtype=np.result_type(*args))
-    return ~acc & mask if op.complement else acc
+    return acc ^ mask if op.complement else acc
 
 
 def _product(op: _Op, stores, mask: Optional[int] = None,
@@ -512,14 +513,15 @@ def _ragged(stores, step: Optional[int] = None):
     lexicographic order) and taken `step` at a time, all at once without
     one.  args[j] holds argument j of each combination, rows its row."""
     counts = [s.counts for s in stores]
-    totals = math.prod(counts)
-    ends = np.cumsum(totals)
+    totals = math.prod(counts[1:], start=counts[0])
+    ends = totals.cumsum()
     total = int(ends[-1])
     begins = ends - totals
     step = step or max(1, total)
     for lo in range(0, total, step):
         flat = np.arange(lo, min(lo + step, total))
-        rows = np.searchsorted(ends, flat, side="right")
+        rows = np.arange(len(totals)).repeat(totals) if total <= step else \
+            ends.searchsorted(flat, side="right")
         picks = [flat - begins[rows]] * len(stores)
         for j in range(len(stores) - 1, 0, -1):
             picks[0], picks[j] = np.divmod(picks[0], counts[j][rows])
@@ -527,15 +529,18 @@ def _ragged(stores, step: Optional[int] = None):
 
 
 def _ragged_product(op: _Op, stores, cells: int = KERNEL_CELLS,
-                    digits: Optional[np.ndarray] = None):
+                    digits: Optional[np.ndarray] = None, mask: Optional[int] = None):
     """Yield (rows, values): op over each row's own cartesian product, row r
     taking argument j from row r of stores[j], a bool matrix or its
     `_RowSets`, in `_ragged` order, `cells` combinations at a time.  A
     symmetric binary op over one store twice gets each unordered pair once.
 
-    With `digits` (the `_code_digits` table) the entries are codes of A**d
-    and op acts on them coordinatewise; a chunk then takes cells // 32
-    combinations, as each carries a dozen int64 temporaries.
+    The entries are elements, or codes of A**d on which op acts
+    coordinatewise: with `mask` = 2**d - 1 on a two-element universe, where
+    a code is d bits and `_evaluate` applies the bitwise formula to whole
+    codes, or with `digits` (the `_code_digits` table) on any universe,
+    where a chunk takes cells // 32 combinations, as each carries a dozen
+    int64 temporaries.
     """
     pairs = op.symmetric and stores[0] is stores[1]
     stores = [s if isinstance(s, _RowSets) else _RowSets.of(s) for s in stores]
@@ -544,7 +549,8 @@ def _ragged_product(op: _Op, stores, cells: int = KERNEL_CELLS,
         if pairs:  # entries are sorted within a row
             keep = args[1] <= args[0]
             rows, args = rows[keep], [a[keep] for a in args]
-        yield rows, _evaluate(op, args) if digits is None else _code_values(op, args, digits)
+        yield rows, (_evaluate(op, args, mask) if digits is None
+                     else _code_values(op, args, digits))
 
 
 def _gathers(op: _Op, sets) -> bool:
@@ -612,17 +618,21 @@ def close_codes(algebra: FiniteAlgebra, d: int, gens: np.ndarray, targets=None, 
     binary one to unordered pairs only.  A row leaves the frontier once it
     holds its target or the whole space.  A row still without its target
     is truncated when it holds more than max_members codes after a round,
-    or when the run passes max_seconds; a `MemoryError` in a round ends
-    the run, keeping the codes the round made before it, and truncates
-    every row still live in it that has not reached its target.
-    Operations act on codes through the digit table, so d = 1 is the Sg
+    or when the run passes max_seconds (checked after every kernel chunk
+    and before every round); a `MemoryError` in a round ends the run,
+    keeping the codes the round made before it, and truncates every row
+    still live in it that has not reached its target.
+    Operations act on codes coordinatewise: on two elements a code is d
+    bits and `_ragged_product` evaluates the bitwise formulas on whole
+    codes, elsewhere it goes through the digit table.  So d = 1 is the Sg
     closure; `sg_many` runs it there only for algebras with an operation
     beyond the set kernel's bound.
 
     Returns (members, found, truncated): each row's codes as a bool
     matrix, whether it holds its target, whether a cap cut it off.
     """
-    digits = None if d == 1 else _code_digits(algebra.size, d)
+    mask = (1 << d) - 1 if algebra.size == 2 else None
+    digits = None if d == 1 or mask is not None else _code_digits(algebra.size, d)
     deadline = None if max_seconds is None else time.monotonic() + max_seconds
     index = np.arange(len(gens))
     targets = None if targets is None else np.asarray(targets)
@@ -630,27 +640,33 @@ def close_codes(algebra: FiniteAlgebra, d: int, gens: np.ndarray, targets=None, 
     found = np.zeros(len(new), dtype=bool)
     truncated = np.zeros_like(found)
     every = None
+    ops = algebra.compiled.ops
+    symmetric = all(op.symmetric for op in ops)  # then no `_frontier` block reads `every`
     while True:
         old, every = every, new if every is None else every | new
         if targets is not None:
             found = every[index, targets]
             truncated &= ~found
-        if max_members is not None:
+        if max_members is not None and max_members < every.shape[1]:
             truncated |= ~found & (every.sum(axis=1) > max_members)
-        live = np.flatnonzero(new.any(axis=1) & ~(found | truncated | every.all(axis=1)))
+        live = (new.any(axis=1) & ~(found | truncated | every.all(axis=1))).nonzero()[0]
         if not live.size:
+            return every, found, truncated
+        if deadline is not None and time.monotonic() > deadline:
+            truncated[live] = True  # checked per round too, as a round may run no chunk
             return every, found, truncated
         hit = None
         try:
             picked = slice(None) if live.size == len(every) else live
-            parts = (new,) if old is None else (new, old, every)
+            parts = (new,) if old is None else (new, old) if symmetric else (new, old, every)
             parts = [_RowSets.of(p[picked]) for p in parts]
-            hit = np.zeros_like(every)
+            hit = np.zeros(every.shape, dtype=bool)
+            wanted = None if targets is None else targets[live]
             for rows, values in chain.from_iterable(
-                    _ragged_product(op, stores, digits=digits)
-                    for op in algebra.compiled.ops for stores in _frontier(op, *parts)):
+                    _ragged_product(op, stores, digits=digits, mask=mask)
+                    for op in ops for stores in _frontier(op, *parts)):
                 hit[live[rows], values] = True
-                if targets is not None and hit[live, targets[live]].all():
+                if wanted is not None and hit[live, wanted].all():
                     break
                 if deadline is not None and time.monotonic() > deadline:
                     truncated[live] = True  # cleared above for rows that found their target

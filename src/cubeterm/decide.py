@@ -45,15 +45,20 @@ and kept; an algebra with the identity alone, or whose group's images of
 one block of patterns would outgrow one kernel chunk, asks every pattern.
 
 The pattern queries are many and small (closures of tens of members), so
-on three or more elements with a code space n**d of at most
-`POINTWISE_BATCH_SPACE` they close together: blocks of patterns, in
-pattern order, go to one batched closure over the codes of A**d
-(`algebra.close_codes`), and a negative check stops at the first block
-that holds a failing pattern.  Every other space asks one `membership`
-query per pattern, the pattern's d + 1 columns and target.  Beyond
-`POINTWISE_BATCH_SPACE` on two elements with arities at most 2, it closes
-orbits: a permutation of the coordinates 2..d-1 that keeps their value
-pairs maps the edge columns onto themselves, so the query passes as
+with a code space n**d of at most `POINTWISE_BATCH_SPACE` they close
+together: blocks of patterns, in pattern order, go to one batched closure
+over the codes of A**d (`algebra.close_codes`, on bit codes on two
+elements), and a negative check stops at the first block that holds a
+failing pattern.  Two elements batch only while a saturating pattern's
+whole argument product, (2**d)**m for m the largest arity, fits one batch
+of `POINTWISE_BATCH_CELLS` (d <= 6 for binary operations, 4 for ternary,
+3 for 4-ary): a batch closes every pattern of its block, and beyond that
+its saturating closures cost more than the engine's bit mode spends on
+the patterns up to the first failing one.  Every other space asks one
+`membership` query per pattern, the pattern's d + 1 columns and target.
+Beyond `POINTWISE_BATCH_SPACE` on two elements with arities at most 2, it
+closes orbits: a permutation of the coordinates 2..d-1 that keeps their
+value pairs maps the edge columns onto themselves, so the query passes as
 `blocks` the runs of equal value pairs among those coordinates, which are
 consecutive in a sorted pattern.  Either way the answer is that of the
 first pattern asked that fails or is cut off by the budget.
@@ -75,7 +80,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, compress, groupby, islice
+from itertools import chain, combinations_with_replacement, groupby, islice
 from typing import Optional
 
 import numpy as np
@@ -218,19 +223,21 @@ def _stacked_query(algebra: FiniteAlgebra, selections: np.ndarray,
 # fixed-dimension checks
 # ---------------------------------------------------------------------------
 
-#: The routing rule of the pointwise check by code space n**d: up to this,
-#: on three or more elements the patterns close in batches (`close_codes`)
-#: and on two elements, whose saturating closures the engine's bit mode runs
-#: fastest, one `membership` query per pattern; beyond it each pattern is
-#: one `membership` query, over orbits (`blocks`) on two elements with
-#: arities at most 2, over tuples elsewhere (passing three-element checks
-#: at d = 8 and 9 run about 10x slower on orbits).  For two elements the
-#: shared value is a choice, not their crossover: a saturating semilattice
-#: check is faster on orbits from d = 12 on, a passing lattice one about
-#: 4x faster on tuples at every d up to 14.
+#: The routing rule of the pointwise check by code space n**d: up to this
+#: the patterns close in batches (`close_codes`), on two elements only while
+#: (2**d)**max_arity is at most `POINTWISE_BATCH_CELLS`, beyond which one
+#: `membership` query per pattern in the engine's bit mode stops sooner;
+#: beyond it each pattern is one `membership` query, over orbits (`blocks`)
+#: on two elements with arities at most 2, over tuples elsewhere (passing
+#: three-element checks at d = 8 and 9 run about 10x slower on orbits).
+#: For two elements the value is a choice, not their crossover: a
+#: saturating semilattice check is faster on orbits from d = 12 on, a
+#: passing lattice one about 4x faster on tuples at every d up to 14.
 POINTWISE_BATCH_SPACE = 1 << 12
 
-#: Cells of one batch's (patterns x n**d) generator matrix.
+#: Cells of one batch's (patterns x n**d) generator matrix, and on two
+#: elements the most argument tuples, (2**d)**max_arity, of a saturating
+#: pattern that still batches.
 POINTWISE_BATCH_CELLS = 1 << 13
 
 
@@ -239,41 +246,48 @@ def _pattern_blocks(algebra: FiniteAlgebra, d: int, rows: int):
     orbit (see `_orbit_firsts`), in `combinations_with_replacement` order,
     as (a, b) arrays of `rows` patterns by d coordinates.
 
-    Every pattern is kept when the identity is the only automorphism, which
-    drops none (running the filter anyway made the median, rigid, check of
-    the tight examples about 7% slower), or when the group's images of
-    `rows` patterns would outgrow one `KERNEL_CELLS` chunk."""
+    The patterns are read `rows` at a time, each chunk turned into one
+    array of pair indices.  Every pattern is kept when the identity is the
+    only automorphism, which drops none (running the filter anyway made the
+    median, rigid, check of the tight examples about 7% slower), or when
+    the group's images of `rows` patterns would outgrow one `KERNEL_CELLS`
+    chunk."""
     pairs = _value_pairs(algebra)
     patterns = combinations_with_replacement(range(len(pairs)), d)
     sigma = algebra.automorphisms[1:].astype(np.intp)  # without the identity
+    moved = None
     if 0 < len(sigma) * rows * d <= KERNEL_CELLS:
-        patterns = _orbit_firsts(algebra.size, pairs, sigma, patterns, rows)
-    while block := list(islice(patterns, rows)):
-        yield pairs[np.array(block)].transpose(2, 0, 1)
+        a, b = sigma[:, pairs].transpose(2, 0, 1)
+        moved = a * (algebra.size - 1) + b - (b > a)  # (group x pairs): each image pair's index
+    held = np.empty((0, d), dtype=np.intp)  # fewer than `rows` patterns kept, not yet yielded
+    while (chunk := np.fromiter(chain.from_iterable(islice(patterns, rows)),
+                                np.intp).reshape(-1, d)).size:
+        held = np.concatenate([held, chunk if moved is None else _orbit_firsts(moved, chunk)])
+        if len(held) >= rows:
+            yield pairs[held[:rows]].transpose(2, 0, 1)
+            held = held[rows:]
+    if len(held):
+        yield pairs[held].transpose(2, 0, 1)
 
 
-def _orbit_firsts(n: int, pairs: np.ndarray, sigma: np.ndarray, patterns, rows: int):
-    """The patterns of the stream, sorted d-tuples of indices into `pairs`,
-    that come first in their edge orbit under the automorphisms `sigma`,
-    read `rows` at a time.
+def _orbit_firsts(moved: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The patterns of `at`, sorted rows of indices into the value pairs,
+    that come first in their edge orbit under the automorphisms, given as
+    `moved`, each one's image of every pair index.
 
     An automorphism maps a pattern to the pairs (sigma(a_i), sigma(b_i));
     sorting them at coordinates {0, 1} and at 2..d-1 apart permutes
     coordinates onto the same edge columns, so the image asks the same edge
     query.  A pattern is dropped when some image sorted so is a sorted
-    pattern (one of the stream) smaller than it."""
-    a, b = sigma[:, pairs].transpose(2, 0, 1)
-    moved = a * (n - 1) + b - (b > a)  # (group x pairs): the index of each image pair
-    while chunk := list(islice(patterns, rows)):
-        at = np.array(chunk)
-        images = moved[:, at]  # (group x rows x d)
-        images[..., :2].sort(axis=2)
-        images[..., 2:].sort(axis=2)
-        diff = images - at
-        first = np.take_along_axis(diff, np.argmax(diff != 0, axis=2)[..., None], 2)[..., 0]
-        # so sorted, an image is a sorted pattern when its second pair is at most its third
-        smaller = (first < 0) & (images[..., 1:2] <= images[..., 2:3]).all(axis=2)
-        yield from compress(chunk, ~smaller.any(axis=0))
+    pattern smaller than it."""
+    images = moved[:, at]  # (group x rows x d)
+    images[..., :2].sort(axis=2)
+    images[..., 2:].sort(axis=2)
+    diff = images - at
+    first = np.take_along_axis(diff, np.argmax(diff != 0, axis=2)[..., None], 2)[..., 0]
+    # so sorted, an image is a sorted pattern when its second pair is at most its third
+    smaller = (first < 0) & (images[..., 1:2] <= images[..., 2:3]).all(axis=2)
+    return at[~smaller.any(axis=0)]
 
 
 def _check_cube_pointwise(algebra: FiniteAlgebra, d: int, budget: Budget) -> bool:
@@ -283,9 +297,11 @@ def _check_cube_pointwise(algebra: FiniteAlgebra, d: int, budget: Budget) -> boo
     # answer is that of the first pattern asked that fails or is cut off.
     n = algebra.size
     space = n ** d
-    batched = n > 2 and space <= POINTWISE_BATCH_SPACE
-    orbits = space > POINTWISE_BATCH_SPACE and n == 2 and \
-        all(op.arity <= 2 for op in algebra.compiled.ops)
+    arity = max((op.arity for op in algebra.compiled.ops), default=0)
+    # two elements batch while a saturating pattern's argument product fits a batch
+    batched = space <= POINTWISE_BATCH_SPACE and \
+        (n > 2 or space ** arity <= POINTWISE_BATCH_CELLS)
+    orbits = space > POINTWISE_BATCH_SPACE and n == 2 and arity <= 2
     edge_rows = _edge_rows(d)
     weights = n ** np.arange(d - 1, -1, -1)
     for a, b in _pattern_blocks(algebra, d, max(1, POINTWISE_BATCH_CELLS // space)):
@@ -330,10 +346,11 @@ def check_cube_dim(algebra: FiniteAlgebra, d: int, *,
     (idempotent algebras only) one small query per value-pair pattern,
     "auto" picks pointwise for idempotent input.  The pointwise queries
     close in batched blocks, per pattern or per pattern over orbits as
-    `POINTWISE_BATCH_SPACE` and the algebra decide (see the module
-    docstring).  In a batched block `budget.max_members` caps each
-    pattern's closure after every round and `budget.max_seconds` each
-    block; on an orbit query `budget.max_members` caps the stored orbits.
+    `POINTWISE_BATCH_SPACE`, `POINTWISE_BATCH_CELLS` and the algebra
+    decide (see the module docstring).  In a batched block
+    `budget.max_members` caps each pattern's closure after every round and
+    `budget.max_seconds` each block; on an orbit query
+    `budget.max_members` caps the stored orbits.
     Only the first pattern of each edge orbit under `algebra.automorphisms`
     is asked, with the same verdict and first failing pattern (see the
     module docstring).  Exceeding the budget raises rather than guessing:

@@ -47,8 +47,9 @@ applies a symmetric binary operation to unordered pairs only, which halves
 the work of the saturating two-element closures.  With int64 keys a
 two-element universe keeps its members as K-bit codes, which are their
 keys, and evaluates the bitwise formulas on them, so no digit matrix is
-ever built; every other case keeps digit rows and looks values up in the
-tables.
+ever built (the batched pointwise closures of `algebra.close_codes` do the
+same on d-bit codes); every other case keeps digit rows and looks values
+up in the tables.
 """
 
 from __future__ import annotations

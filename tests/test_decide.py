@@ -12,6 +12,7 @@ from conftest import (
     brute_force_automorphisms,
     random_algebra,
     random_idempotent_algebra,
+    relabel,
     symmetric_idempotent_algebra,
 )
 from cubeterm import (
@@ -256,6 +257,9 @@ def test_pattern_blocks_keep_the_first_pattern_of_each_orbit():
             kept = [tuple(zip(*pattern)) for a, b in decide._pattern_blocks(alg, d, rows)
                     for pattern in zip(a.tolist(), b.tolist())]
             assert kept == expected
+            # blocks stay full: only the last may hold fewer than `rows`
+            sizes = [len(a) for a, _ in decide._pattern_blocks(alg, d, rows)]
+            assert set(sizes[:-1]) <= {rows} and 0 < sizes[-1] <= rows
     assert sum(len(a) for a, _ in decide._pattern_blocks(idempotent_quasigroup(5), 3, 50)) == 210
     assert sum(len(a) for a, _ in decide._pattern_blocks(idempotent_quasigroup(7), 2, 50)) == 25
     # the group's images of 2,000 patterns outgrow one kernel chunk: all kept
@@ -577,7 +581,8 @@ def test_stacked_columns_match_per_column_rule(monkeypatch):
 def test_pointwise_orbit_route_agrees_with_tuple_route(monkeypatch):
     # beyond POINTWISE_BATCH_SPACE a two-element algebra with arities at
     # most 2 asks one orbit query per pattern; with POINTWISE_BATCH_SPACE
-    # raised to 2**d it asks the tuple queries of the smaller spaces.
+    # raised to 2**d it asks what the smaller spaces ask: a batched closure
+    # while (2**d)**arity fits POINTWISE_BATCH_CELLS, tuple queries beyond.
     # Meet, join, both lattices and projections, under both labellings:
     # the same answers at every d, and the same pattern named when a
     # budget cuts a check off
@@ -595,15 +600,17 @@ def test_pointwise_orbit_route_agrees_with_tuple_route(monkeypatch):
         for swapped in (tables, tuple(tuple(1 - t[3 - i] for i in range(4)) for t in tables)):
             alg = FiniteAlgebra(2, tuple(OperationTable(f"f{i}", 2, t)
                                          for i, t in enumerate(swapped)))
+            arity = max((op.arity for op in alg.compiled.ops), default=0)
             for d in range(2, 15):
+                tuples = (2 ** d) ** arity > decide.POINTWISE_BATCH_CELLS
                 issued.clear()
                 orbits = check_cube_dim(alg, d)
-                assert bool(issued) == (2 ** d <= decide.POINTWISE_BATCH_SPACE)
+                assert bool(issued) == (2 ** d <= decide.POINTWISE_BATCH_SPACE and tuples)
                 issued.clear()
                 with monkeypatch.context() as patch:
                     patch.setattr(decide, "POINTWISE_BATCH_SPACE", 2 ** d)
                     assert check_cube_dim(alg, d) == orbits, (swapped, d)
-                assert issued
+                assert bool(issued) == tuples
             for budget in (Budget(max_members=2), Budget(max_seconds=0)):
                 errors = []
                 for space in (decide.POINTWISE_BATCH_SPACE, 2 ** 13):
@@ -613,6 +620,30 @@ def test_pointwise_orbit_route_agrees_with_tuple_route(monkeypatch):
                             check_cube_dim(alg, 13, budget=budget)
                     errors.append(str(err.value))
                 assert errors[0] == errors[1]
+
+
+def test_two_element_batches_agree_with_one_query_per_pattern(monkeypatch):
+    # a seeded share of the two-element benchmark mix (idempotent ternary
+    # tables on {0, 1}, alone and next to meet or join, relabelled) and the
+    # semilattices and lattice: the batched closures over bit codes give
+    # the verdicts of one `membership` query per pattern
+    rng = random.Random(31)
+    meet = OperationTable("meet", 2, (0, 0, 0, 1))
+    join = OperationTable("join", 2, (0, 1, 1, 1))
+    algebras = [fixture("semilattice2"), fixture("lattice2"), FiniteAlgebra(2, (join,))]
+    for free in rng.sample(range(64), 24):
+        ternary = OperationTable("t", 3, (0,) + tuple(free >> i & 1 for i in range(6)) + (1,))
+        alg = FiniteAlgebra(2, (ternary,) + rng.choice(((), (meet,), (join,))))
+        algebras.append(relabel(alg, (1, 0)) if rng.random() < 0.5 else alg)
+    verdicts = set()
+    for alg in algebras:
+        for d in range(2, 8):
+            batched = check_cube_dim(alg, d)
+            with monkeypatch.context() as patch:
+                patch.setattr(decide, "POINTWISE_BATCH_SPACE", 0)
+                assert check_cube_dim(alg, d) == batched, (alg, d)
+            verdicts.add(batched)
+    assert verdicts == {True, False}
 
 
 def _rows(gens):

@@ -504,16 +504,71 @@ def test_close_codes_matches_engine(case):
         assert got == closure or found[r] and target in got
 
 
+def _close_codes_like_engine(alg, d, gens, targets):
+    """close_codes row by row against `generate` (each row's closure) and
+    `membership` (whether it holds its target)."""
+    n = alg.size
+    members, found, truncated = close_codes(alg, d, gens, targets)
+    closed, no_target, cut_off = close_codes(alg, d, gens)
+    assert not truncated.any() and not cut_off.any() and not no_target.any()
+    for r, target in enumerate(targets):
+        seeds = [code_tuple(c, d, n) for c in np.flatnonzero(gens[r])]
+        closure = {tuple_code(t, n) for t in generate(alg, seeds, arity=d)[0]}
+        assert set(np.flatnonzero(closed[r]).tolist()) == closure, (alg, d, r)
+        assert found[r] == membership(alg, seeds, code_tuple(target, d, n)).found
+        assert set(np.flatnonzero(members[r]).tolist()) <= closure
+    return closed
+
+
+def test_close_codes_on_bit_codes_beyond_the_property_range(monkeypatch):
+    # two elements at d = 5..8, where a code is d bits and the kernel
+    # applies each operation's bitwise formula to whole codes: join
+    # (symmetric), x and not y (not symmetric) and minority (ternary), on
+    # seeded rows of 1 to 4 generators.  Two rows saturate: x and not y
+    # from the top and the unit codes at d = 8, and minority from 0 and the
+    # unit codes at d = 7, whose second round spans several kernel chunks
+    chunks = []
+    real = algebra._ragged_product
+
+    def count(*args, **kwargs):
+        chunks.append(0)
+        for out in real(*args, **kwargs):
+            chunks[-1] += 1
+            yield out
+
+    monkeypatch.setattr(algebra, "_ragged_product", count)
+    rng = random.Random(41)
+    join, but_not, minority = (0, 1, 1, 1), (0, 0, 1, 0), (0, 1, 1, 0, 1, 0, 0, 1)
+    algebras = [FiniteAlgebra(2, (OperationTable("f", len(t).bit_length() - 1, t),))
+                for t in (join, but_not, minority)]
+    for alg in algebras:
+        for d in range(5, 9):
+            space = 2 ** d
+            gens = np.zeros((5, space), dtype=bool)
+            for row in gens:
+                row[rng.sample(range(space), rng.randint(1, 4))] = True
+            _close_codes_like_engine(alg, d, gens, [rng.randrange(space) for _ in gens])
+    for alg, d, seed in ((algebras[1], 8, 255), (algebras[2], 7, 0)):
+        gens = np.zeros((1, 2 ** d), dtype=bool)
+        gens[0, [seed] + [1 << i for i in range(d)]] = True
+        chunks.clear()
+        assert _close_codes_like_engine(alg, d, gens, [rng.randrange(2 ** d)]).all()
+    assert max(chunks) > 1
+
+
 def test_close_codes_caps():
     # lattice2 at d = 2: (0, 1) and (1, 0) generate (0, 0) by meet and
     # (1, 1) by join in one round.  The member cap applies after a round
-    # and the time cap after a kernel chunk (meet's comes first), and a
-    # target among the generators is found before either applies
+    # and the time cap before a round and after a kernel chunk, also in a
+    # round that runs no chunk (the projection alone), and a target among
+    # the generators is found before either applies
     gens = np.zeros((2, 4), dtype=bool)
     gens[:, [1, 2]] = True
     alg = fixture("lattice2")
-    for caps in ({"max_members": 1}, {"max_seconds": 0}):
-        _, found, truncated = close_codes(alg, 2, gens, [1, 3], **caps)
+    first = FiniteAlgebra(2, (OperationTable("p", 2, (0, 0, 1, 1)),))
+    for a, caps in ((alg, {"max_members": 1}), (alg, {"max_seconds": 0}),
+                    (first, {"max_seconds": 0})):
+        _, found, truncated = close_codes(a, 2, gens, [1, 3], **caps)
         assert found.tolist() == [True, False] and truncated.tolist() == [False, True]
     for caps in ({"max_members": 2}, {"max_seconds": 10}):
         _, found, truncated = close_codes(alg, 2, gens, [1, 3], **caps)
