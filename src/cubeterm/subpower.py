@@ -72,9 +72,10 @@ from .relations import (INT64_CODES, TUPLE_BLOCK, Relation, _digit_rows, _first_
 DENSE_CODE_LIMIT = 1 << 26
 
 # The fill at which a query builds its bitset, as space / _DENSE_FILL absorbed
-# candidates.  Sweep (median of 9): 16, 64 and 256 slow check_nu(semilattice2,
-# 11) 3.3x, 1.5x and 1.1x against 1024; from 4096 on check_nu(lattice2, 11) takes
-# 2.8 against 0.75 ms, and from 16384 on check_edge_dim(lattice2, 12) 8.7 against 1.4.
+# candidates.  Sweep (median of 9): 16, 64 and 256 slow the arity-11 stacked NU
+# query (`decide._nu_query`) on semilattice2 3.3x, 1.5x and 1.1x against 1024;
+# from 4096 on that query on lattice2 takes 2.8 against 0.75 ms, and from 16384
+# on check_edge_dim(lattice2, 12) 8.7 against 1.4.
 _DENSE_FILL = 1024
 
 

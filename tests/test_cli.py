@@ -54,6 +54,12 @@ def test_check_edge_and_nu(capsys, algebra_file):
     assert rc == 0 and result["payload"]["result"] is True
 
 
+def test_check_nu_at_a_huge_arity_answers_from_arity_3(capsys, algebra_file):
+    # the passing arity-3 query answers before any arity-k array is built
+    rc, result, _ = invoke(capsys, "check-nu", algebra_file("lattice2"), "-k", "100000")
+    assert rc == 0 and result["payload"] == {"result": True}
+
+
 def test_decide_nu_and_min_dim(capsys, algebra_file):
     path = algebra_file("lattice2")
     rc, result, _ = invoke(capsys, "decide-nu", path)

@@ -2,7 +2,7 @@ import math
 import random
 import time
 from collections import Counter
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -360,8 +360,71 @@ def test_check_nu():
 
 
 def test_check_nu_at_row_width_62():
-    # the stacked NU query for arity 30 over two elements has row width 62
-    assert check_nu(fixture("lattice2"), 30, budget=Budget(max_seconds=10)) is True
+    # the stacked NU query for arity 30 over two elements has row width 62;
+    # check_nu answers from the arity-3 query, so ask that one directly too
+    lat = fixture("lattice2")
+    assert check_nu(lat, 30, budget=Budget(max_seconds=10)) is True
+    assert decide._nu_query(lat, 30, Budget(max_seconds=10)) is True
+
+
+def _nu_widths(monkeypatch):
+    """Spy on the stacked queries: the generator column count of each one."""
+    widths = []
+
+    def spy(algebra, generators, target, **kwargs):
+        widths.append(len(generators[0]))
+        return membership(algebra, generators, target, **kwargs)
+
+    monkeypatch.setattr(decide, "membership", spy)
+    return widths
+
+
+def test_check_nu_matches_arity_k_query_inside_the_bound(monkeypatch):
+    # every two-element algebra of one or two distinct operations of arity
+    # 1 or 2: check_nu, which asks the arity-3 query first there, against
+    # the arity-k query alone
+    ops = [OperationTable(f"f{m}_{i}", m, tuple(int(c) for c in f"{i:0{2 ** m}b}"))
+           for m in (1, 2) for i in range(2 ** 2 ** m)]
+    algebras = [FiniteAlgebra(2, pair) for r in (1, 2) for pair in combinations(ops, r)]
+    assert len(algebras) == 210
+    widths = _nu_widths(monkeypatch)
+    positives = 0
+    for alg in algebras:
+        for k in (4, 5, 6):
+            widths.clear()
+            answer = check_nu(alg, k)
+            assert widths[0] == 3 and widths[1:] == ([] if answer else [k]), (alg, k)
+            assert answer == decide._nu_query(alg, k, Budget()), (alg, k)
+            positives += answer
+    assert positives == 258
+
+
+def _at_least(t, m):
+    """The m-ary threshold operation on {0, 1}: 1 iff at least t arguments are 1."""
+    return FiniteAlgebra(2, (OperationTable(f"at_least_{t}_of_{m}", m, tuple(
+        int(sum(x) >= t) for x in product((0, 1), repeat=m))),))
+
+
+def test_check_nu_beyond_the_bound_asks_arity_k_alone(monkeypatch):
+    # arities 4 and 5, and three elements, put the arity-3 query beyond one
+    # kernel chunk: check_nu asks the arity-k query only, with its answer.
+    # The threshold algebras' least NU arities are 4 and 5.
+    cases = [(_at_least(3, 4), 3, False), (_at_least(3, 4), 4, True),
+             (_at_least(4, 5), 4, False), (_at_least(4, 5), 5, True),
+             (idempotent_quasigroup(3), 4, False)]
+    widths = _nu_widths(monkeypatch)
+    for alg, k, answer in cases:
+        widths.clear()
+        assert check_nu(alg, k) is answer
+        assert widths == [k]
+        assert decide._nu_query(alg, k, Budget()) is answer
+
+
+def test_check_nu_budget_names_the_arity_k_query():
+    # the cut-off arity-3 query decides nothing, so the arity-5 one is asked
+    # and its cut-off is the one reported
+    with pytest.raises(BudgetExceededError, match="near-unanimity arity 5"):
+        check_nu(fixture("lattice2"), 5, budget=Budget(max_members=1))
 
 
 def test_nu_implies_cube_dimension():
@@ -544,10 +607,11 @@ def test_stacked_columns_match_per_column_rule(monkeypatch):
     # one row per (coordinate i, pair a != b), b where i is selected and a
     # elsewhere, then one constant row per value; the target is all a
     issued = []
+    found = [True]
 
     def capture(algebra, generators, target, *, budget=None):
         issued.append(([np.array(block) for block in generators], tuple(target)))
-        return MembershipAnswer(found=True, closure_size=0)
+        return MembershipAnswer(found=found[0], closure_size=0)
 
     monkeypatch.setattr(decide, "membership", capture)
 
@@ -565,16 +629,22 @@ def test_stacked_columns_match_per_column_rule(monkeypatch):
             assert check_cube_dim(alg, d, method="stacked") == (d >= 2)
             queries = []
             if d >= 2:
-                queries.append([{0, 1}] + [{i} for i in range(d)])
+                queries.append((d, [{0, 1}] + [{i} for i in range(d)]))
                 check_edge_dim(alg, d)
-                queries.append([{0, 1}] + [{i} for i in range(d)])
+                queries.append((d, [{0, 1}] + [{i} for i in range(d)]))
             if d >= 3:
+                # answered False, the arity-3 query that lattice2 asks first
+                # at d > 3 is followed by the arity-d query
+                found[0] = False
                 check_nu(alg, d)
-                queries.append([{i} for i in range(d)])
-            for (blocks, target), selections in zip(issued, queries, strict=True):
+                found[0] = True
+                if n == 2 and d > 3:
+                    queries.append((3, [{i} for i in range(3)]))
+                queries.append((d, [{i} for i in range(d)]))
+            for (blocks, target), (width, selections) in zip(issued, queries, strict=True):
                 assert all(len(block) <= 4096 for block in blocks)
                 rows = [tuple(row) for block in blocks for row in block.tolist()]
-                assert (rows, target) == expected(n, d, selections)
+                assert (rows, target) == expected(n, width, selections)
             issued.clear()
 
 
